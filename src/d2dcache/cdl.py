@@ -22,9 +22,6 @@ class CdlConfig:
     rmin_bps_per_hz: float = 3.0        # QoS floor as spectral efficiency
     pmax_dbm: float = 23.0              # per-transmitter peak power
     noise_dbm: float = -90.0
-    step_coef: float = 0.1              # dual steps step_coef / sqrt(t)
-    max_dual_iters: int = 2000
-    dual_tol: float = TOL.dual_move_rel
     allow_full_rank: bool = True        # admit as many CRs as CTs, not CTs-1
 
     @property
@@ -91,6 +88,87 @@ class CdlPowerResult:
     converged: bool
 
 
+# Duality gap, in bit/s/Hz of sum rate, at which a power allocation is
+# certified optimal.
+GAP_TOL = 1e-10
+# Guards on interior-point work: Newton steps per solve and step halvings per
+# line search.  A solve either guard stops reports converged=False.
+MAX_NEWTON_STEPS = 100
+BACKTRACK_HALVINGS = 50
+
+
+def _duality_gap(a, wsq, budgets, x, lam) -> float:
+    """Lagrange dual bound at ``lam`` minus the objective at ``x`` for
+
+        maximize sum_n log2(1 + x_n / a_n)  s.t.  wsq @ x <= budgets, x >= 0.
+
+    The dual function is closed-form waterfilling at the per-stream prices
+    wsq^T lam, so for a feasible ``x`` the gap bounds its distance to the
+    optimum from above (weak duality); a stream left unpriced bounds nothing.
+    """
+    price = wsq.T @ lam
+    if not np.all(price > 0):
+        return math.inf
+    level = np.maximum(1.0 / (LN2 * price) - a, 0.0)
+    bound = np.sum(np.log2(1.0 + level / a) - price * level) + lam @ budgets
+    return float(bound - np.sum(np.log2(1.0 + x / a)))
+
+
+def _interior_point(a, wsq, budgets):
+    """Primal-dual interior-point solve of the :func:`_duality_gap` problem
+    (Boyd & Vandenberghe, Algorithm 11.2) for positive ``budgets``.
+
+    Starts strictly feasible and stops as soon as the dual bound certifies
+    ``GAP_TOL`` or a guard trips.  Returns ``(x, lam, newton_steps)``.
+    """
+    num_rows, num_vars = wsq.shape
+    if num_vars == 0:
+        return np.zeros(0), np.zeros(num_rows), 0
+    with np.errstate(divide="ignore"):
+        x = np.full(num_vars, 0.5 * np.min(budgets / wsq.sum(axis=1)))
+    lam = 1.0 / (budgets - wsq @ x)
+    nu = 1.0 / x   # multipliers of x >= 0
+
+    def residual(x, lam, nu, t):
+        stationarity = wsq.T @ lam - nu - 1.0 / (LN2 * (a + x))
+        centering = np.concatenate([lam * (budgets - wsq @ x), nu * x]) - 1.0 / t
+        return np.linalg.norm(np.concatenate([stationarity, centering]))
+
+    steps = 0
+    while steps < MAX_NEWTON_STEPS and _duality_gap(a, wsq, budgets, x, lam) > GAP_TOL:
+        slack = budgets - wsq @ x
+        # centering target ten times tighter than the surrogate duality gap
+        t = 10.0 * (num_rows + num_vars) / (lam @ slack + nu @ x)
+        grad = 1.0 / (LN2 * (a + x))
+        hess = np.diag(LN2 * grad**2 + nu / x) + wsq.T @ ((lam / slack)[:, None] * wsq)
+        dx = np.linalg.solve(hess, grad - (wsq.T @ (1.0 / slack) - 1.0 / x) / t)
+        dlam = lam * (wsq @ dx) / slack - lam + 1.0 / (t * slack)
+        dnu = -nu * dx / x - nu + 1.0 / (t * x)
+
+        # Longest step keeping the multipliers positive, then backtrack into
+        # strict primal feasibility and a sufficient residual decrease.
+        duals = np.concatenate([lam, nu])
+        moves = np.concatenate([dlam, dnu])
+        falling = moves < 0
+        size = 0.99 * np.min(-duals[falling] / moves[falling], initial=1.0)
+        start = residual(x, lam, nu, t)
+        for _ in range(BACKTRACK_HALVINGS):
+            trial = x + size * dx
+            if (
+                np.all(trial > 0)
+                and np.all(wsq @ trial < budgets)
+                and residual(trial, lam + size * dlam, nu + size * dnu, t)
+                <= (1.0 - 0.01 * size) * start
+            ):
+                break
+            size *= 0.5
+        else:
+            break   # rounding stalls the method
+        x, lam, nu = trial, lam + size * dlam, nu + size * dnu
+        steps += 1
+    return x, lam, steps
+
+
 def allocate_cdl_power(
     channel_matrix: np.ndarray,
     w_bar: np.ndarray,
@@ -98,16 +176,19 @@ def allocate_cdl_power(
     pmax_w,
     noise_w,
     sinr_targets,
-    step_coef: float = 0.1,
-    max_iters: int = 2000,
-    tol: float = TOL.dual_move_rel,
 ) -> CdlPowerResult | None:
     """Sum-rate maximizing stream powers, or None when the QoS is infeasible.
 
-    Dual ascent on the per-CT power multipliers and per-CR QoS multipliers
-    with the closed-form waterfilling primal; a deterministic minimum-power
-    pre-check decides feasibility before iterating.  The returned point
-    satisfies every constraint within ``TOL.power_feasibility_rel``.
+    A deterministic minimum-power pre-check decides feasibility: the QoS
+    floors met with equality must fit every CT budget within
+    ``TOL.power_feasibility_rel``.  The remaining concave program (maximize
+    sum log2(1 + g_n p_n / sigma) s.t. W p <= Pmax, p >= p_min) is solved by a
+    primal-dual interior-point method.  ``converged`` is its certificate: the
+    Lagrange dual bound at the returned ``lambda_tx`` exceeds the returned
+    objective by at most ``GAP_TOL`` bit/s/Hz.  ``mu_rx`` are the QoS
+    multipliers in rate form, from stationarity
+    ``(1 + mu_n) / (ln2 (sigma / g_n + p_n)) = (W^T lambda)_n``, and
+    ``iterations`` counts Newton steps.
     """
     num_tx, num_rx = channel_matrix.shape
     pmax_w = np.broadcast_to(np.asarray(pmax_w, dtype=float), (num_tx,)).copy()
@@ -126,67 +207,34 @@ def allocate_cdl_power(
     if np.any(wsq @ p_min > pmax_w * (1.0 + TOL.power_feasibility_rel)):
         return None
 
-    # Any feasible stream power is bounded by the tightest single-CT budget;
-    # unit-norm precoder columns keep these caps finite.
-    with np.errstate(divide="ignore"):
-        caps = np.min(np.where(wsq > 0, pmax_w[:, None] / wsq, np.inf), axis=0)
-
-    def primal(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        weighted = wsq.T @ lam
-        with np.errstate(divide="ignore"):
-            p0 = np.where(
-                weighted > 0,
-                (1.0 + mu) / (LN2 * np.maximum(weighted, 1e-300)) - noise_w / gains,
-                np.inf,
-            )
-        return np.minimum(np.maximum(p0, 0.0), caps)
-
-    rmin = np.log2(1.0 + targets)
-    qos_scale = np.maximum(rmin, 1.0)
-
-    # The ascent runs on multipliers normalized by their natural magnitude
-    # (peak-power duals live near num_rx / (ln2 * pmax)); in raw units the
-    # diminishing steps cannot cover that distance within the iteration cap.
-    lam_scale = np.maximum(num_rx, 1) / (LN2 * pmax_w)
-    unit_scale = np.concatenate([lam_scale, np.ones(num_rx)])
-
-    def gradient(stacked: np.ndarray) -> np.ndarray:
-        raw = stacked * unit_scale
-        powers = primal(raw[:num_tx], raw[num_tx:])
-        slack_tx = (pmax_w - wsq @ powers) / pmax_w
-        slack_qos = (np.log2(1.0 + powers * gains / noise_w) - rmin) / qos_scale
-        return np.concatenate([slack_tx, slack_qos])
-
-    start = np.concatenate([np.ones(num_tx), np.zeros(num_rx)])
-    ascent = numerics.projected_dual_ascent(
-        gradient,
-        start,
-        step_schedule=lambda t: step_coef / math.sqrt(t),
-        max_iters=max_iters,
-        rel_tol=tol,
+    # Solve for the excess x = p - p_min in units of the largest budget.  A CT
+    # whose floors leave it no headroom (the pre-check admits a small
+    # overshoot) pins every stream it carries at the floor.
+    scale = float(np.max(pmax_w))
+    a = (noise_w / gains + p_min) / scale
+    headroom = (pmax_w - wsq @ p_min) / scale
+    spent = headroom <= 0
+    budgets = np.maximum(headroom, 0.0)
+    free = ~np.any(wsq[spent] > 0, axis=0)
+    x = np.zeros(num_rx)
+    lam = np.zeros(num_tx)
+    x[free], lam[~spent], steps = _interior_point(
+        a[free], wsq[np.ix_(~spent, free)], budgets[~spent]
     )
-    raw = ascent.multipliers * unit_scale
-    lam, mu = raw[:num_tx], raw[num_tx:]
-    powers = np.maximum(primal(lam, mu), p_min)
+    # Spent CTs price each pinned stream up to its marginal rate at x = 0.
+    pinned = ~free
+    shortfall = 1.0 / (LN2 * a[pinned]) - wsq[np.ix_(~spent, pinned)].T @ lam[~spent]
+    carried = wsq[np.ix_(spent, pinned)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam[spent] = np.max(
+            np.where(carried > 0, shortfall / carried, 0.0), axis=1, initial=0.0
+        )
+    converged = _duality_gap(a, wsq, budgets, x, lam) <= GAP_TOL
 
-    # Primal recovery: pull back toward the (feasible) minimum-power point if
-    # any CT overshoots, then scale up until the tightest budget is exact.
-    used = wsq @ powers
-    if np.any(used > pmax_w):
-        base = wsq @ p_min
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = (pmax_w - base) / (used - base)
-        scale = float(np.clip(np.min(ratios[used > pmax_w]), 0.0, 1.0))
-        powers = p_min + scale * (powers - p_min)
-    used = wsq @ powers
-    if np.all(used > 0):
-        powers = np.minimum(powers * np.min(pmax_w / used), caps)
-
-    # Multipliers of constraints left distinctly slack are inactive duals.
-    slack = pmax_w - wsq @ powers
-    lam = np.where(slack > 1e-3 * pmax_w, 0.0, lam)
-
-    return CdlPowerResult(powers, lam, mu, ascent.iterations, ascent.converged)
+    powers = p_min + scale * x
+    lam_tx = lam / scale
+    mu = np.maximum(LN2 * (noise_w / gains + powers) * (wsq.T @ lam_tx) - 1.0, 0.0)
+    return CdlPowerResult(powers, lam_tx, mu, steps, converged)
 
 
 @dataclass
@@ -264,9 +312,6 @@ def schedule_cdl(
             pmax_w=config.pmax_w,
             noise_w=config.noise_w,
             sinr_targets=config.sinr_target,
-            step_coef=config.step_coef,
-            max_iters=config.max_dual_iters,
-            tol=config.dual_tol,
         )
         if result is None:
             break

@@ -69,7 +69,6 @@ class SimConfig:
     sus_epsilon: float = 0.75
     allow_full_rank: bool = True
     weight_mode: str = "reciprocal"
-    max_dual_iters: int = 2000
     dca_max_iters: int = 100
     # experiment control
     drops: int = 500
@@ -128,7 +127,6 @@ class SimConfig:
             rmin_bps_per_hz=self.rmin_bps_per_hz,
             pmax_dbm=self.pmax_dbm,
             noise_dbm=self.noise_dbm,
-            max_dual_iters=self.max_dual_iters,
             allow_full_rank=self.allow_full_rank,
         )
 

@@ -22,9 +22,7 @@ class Tolerances:
     power_feasibility_rel: float = 1e-6   # slack allowed on power/QoS constraints
     sinr_match_rel: float = 1e-6    # SINR-at-target agreement for minimum powers
     dual_move_rel: float = 1e-5     # multiplier movement declaring dual convergence
-    comp_slack_rel: float = 1e-3    # complementary-slackness residual at convergence
     dca_improve: float = 1e-4       # min-rate gain below which the DCA stops
-    min_rate_backslide: float = 1e-9  # allowed regression versus the starting point
 
 
 TOL = Tolerances()

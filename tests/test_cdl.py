@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from d2dcache import numerics
+from d2dcache import cdl, harness, numerics
 from d2dcache.cdl import (
+    GAP_TOL,
     CdlConfig,
     allocate_cdl_power,
     cdl_rate_general,
@@ -11,6 +12,7 @@ from d2dcache.cdl import (
     effective_gains,
     schedule_cdl,
 )
+from d2dcache.numerics import TOL
 from d2dcache.topology import Topology
 
 NOISE = 1e-12
@@ -25,23 +27,17 @@ def random_channels(rng, m, n, d_lo=20.0, d_hi=80.0):
 
 
 def grid_best_objective(wsq, gains, gamma, points=200):
-    """2-CT/2-CR oracle: exhaustive search over the feasible stream-power box."""
+    """Oracle: exhaustive search over a grid of the feasible stream-power box."""
     caps = np.min(np.where(wsq > 0, PMAX / wsq, np.inf), axis=0)
-    p1 = np.linspace(0.0, caps[0], points)
-    p2 = np.linspace(0.0, caps[1], points)
-    g1, g2 = np.meshgrid(p1, p2, indexing="ij")
-    feasible = (
-        (wsq[0, 0] * g1 + wsq[0, 1] * g2 <= PMAX)
-        & (wsq[1, 0] * g1 + wsq[1, 1] * g2 <= PMAX)
-        & (g1 * gains[0] / NOISE >= gamma)
-        & (g2 * gains[1] / NOISE >= gamma)
+    grid = np.stack(
+        np.meshgrid(*(np.linspace(0.0, cap, points) for cap in caps), indexing="ij"),
+        axis=-1,
+    ).reshape(-1, caps.size)
+    feasible = np.all(grid @ wsq.T <= PMAX, axis=1) & np.all(
+        grid * gains / NOISE >= gamma, axis=1
     )
-    objective = np.where(
-        feasible,
-        np.log2(1.0 + g1 * gains[0] / NOISE) + np.log2(1.0 + g2 * gains[1] / NOISE),
-        -np.inf,
-    )
-    return float(objective.max())
+    objective = np.sum(np.log2(1.0 + grid[feasible] * gains / NOISE), axis=1)
+    return float(objective.max(initial=-np.inf))
 
 
 def topology_from_channels(channels):
@@ -134,13 +130,37 @@ def test_allocation_matches_grid_oracle():
         checked += 1
 
 
+def test_allocation_matches_grid_oracle_three_receivers():
+    rng = np.random.default_rng(9)
+    gamma = 2.0**0.5 - 1.0
+    checked = 0
+    while checked < 20:
+        h = random_channels(rng, int(rng.integers(3, 5)), 3)
+        prec = numerics.zf_precoder(h)
+        res = allocate_cdl_power(
+            h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
+        )
+        wsq = np.abs(prec.normalized) ** 2
+        gains = effective_gains(h, prec.normalized)
+        best = grid_best_objective(wsq, gains, gamma, points=80)
+        if res is None or not np.isfinite(best):
+            continue
+        got = float(np.sum(np.log2(1.0 + res.powers_w * gains / NOISE)))
+        assert got >= 0.99 * best
+        # every grid point is feasible, so a certified optimum cannot lose to one
+        assert got >= best - GAP_TOL
+        checked += 1
+
+
 def test_allocation_feasibility_and_multiplier_invariants():
+    """Every feasible solve is certified and meets the KKT conditions."""
     rng = np.random.default_rng(5)
-    gamma = 2.0**1.5 - 1.0  # tighter QoS so the floor actually binds sometimes
-    seen_converged = False
-    for _ in range(40):
-        m = rng.integers(2, 5)
-        n = rng.integers(1, m + 1)
+    tol = TOL.power_feasibility_rel
+    floors_bound = budgets_slack = 0
+    for _ in range(120):
+        m = int(rng.integers(2, 8))
+        n = int(rng.integers(1, m + 1))
+        gamma = 2.0 ** rng.choice([0.0, 1.5, 4.0]) - 1.0
         h = random_channels(rng, m, n)
         prec = numerics.zf_precoder(h)
         res = allocate_cdl_power(
@@ -148,17 +168,61 @@ def test_allocation_feasibility_and_multiplier_invariants():
         )
         if res is None:
             continue
+        assert res.converged
         wsq = np.abs(prec.normalized) ** 2
         gains = effective_gains(h, prec.normalized)
-        assert np.all(res.powers_w >= 0.0)
-        assert np.all(wsq @ res.powers_w <= PMAX * (1.0 + 1e-6))
-        assert np.all(res.powers_w * gains / NOISE >= gamma * (1.0 - 1e-6))
-        assert np.all(res.lambda_tx >= 0.0) and np.all(res.mu_rx >= 0.0)
-        if res.converged:
-            seen_converged = True
-            residual = np.max(np.abs(res.lambda_tx * (wsq @ res.powers_w - PMAX)))
-            assert residual <= 1e-3 * PMAX
-    assert seen_converged
+        p, lam, mu = res.powers_w, res.lambda_tx, res.mu_rx
+        # primal and dual feasibility
+        assert np.all(p >= 0.0)
+        assert np.all(wsq @ p <= PMAX * (1.0 + tol))
+        assert np.all(p * gains / NOISE >= gamma * (1.0 - tol))
+        assert np.all(lam >= 0.0) and np.all(mu >= 0.0)
+        # stationarity of the rate-form Lagrangian
+        price = wsq.T @ lam
+        marginal = (1.0 + mu) / (np.log(2.0) * (NOISE / gains + p))
+        assert np.all(np.abs(marginal - price) <= tol * price)
+        # complementary slackness; the products are in bit/s/Hz
+        rate_margin = np.log2(1.0 + p * gains / NOISE) - np.log2(1.0 + gamma)
+        assert np.all(lam * (PMAX - wsq @ p) <= tol)
+        assert np.all(mu * rate_margin <= tol)
+        floors_bound += int(np.any(mu > 1e-3))
+        budgets_slack += int(np.any(PMAX - wsq @ p > 1e-3 * PMAX))
+    assert floors_bound > 0 and budgets_slack > 0
+
+
+def test_floor_that_spends_a_budget_pins_its_streams():
+    # CR 0 alone on CT 0, with a floor just past its budget (the pre-check
+    # admits that much overshoot); CR 1 alone on CT 1 with a low floor.
+    amp = 1e-4
+    h = np.diag([amp, amp]).astype(complex)
+    prec = numerics.zf_precoder(h)
+    floor = PMAX * (1.0 + 0.5 * TOL.power_feasibility_rel)
+    gammas = np.array([floor * amp**2 / NOISE, 1.0])
+    res = allocate_cdl_power(
+        h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gammas
+    )
+    assert res is not None and res.converged
+    assert res.powers_w[0] == pytest.approx(floor, rel=1e-12)
+    assert res.powers_w[1] == pytest.approx(PMAX, rel=1e-9)
+    assert np.all(res.lambda_tx > 0.0) and np.all(res.mu_rx >= 0.0)
+
+
+def test_pipeline_power_allocations_are_certified(monkeypatch):
+    solve = cdl.allocate_cdl_power
+    results = []
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        if result is not None:
+            results.append(result)
+        return result
+
+    monkeypatch.setattr(cdl, "allocate_cdl_power", recording)
+    config = harness.SimConfig()
+    for seed in range(1, 21):
+        harness.run_drop(config, seed, num_users=30, beta=1.2, mode="coop")
+    assert results
+    assert all(result.converged for result in results)
 
 
 # --- scheduling -------------------------------------------------------------------
