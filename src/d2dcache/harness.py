@@ -34,7 +34,6 @@ METRIC_FIELDS = (
     "self_satisfied",
     "cellular",
     "removal_iterations",
-    "dca_iterations",
 )
 
 CSV_COLUMNS = ("beta", "K", "mode", "drops") + tuple(
@@ -69,7 +68,6 @@ class SimConfig:
     sus_epsilon: float = 0.75
     allow_full_rank: bool = True
     weight_mode: str = "reciprocal"
-    dca_max_iters: int = 100
     # experiment control
     drops: int = 500
     base_seed: int = 1
@@ -138,7 +136,6 @@ class SimConfig:
             pmax_dbm=self.pmax_dbm,
             noise_dbm=self.noise_dbm,
             weight_mode=self.weight_mode,
-            dca_max_iters=self.dca_max_iters,
         )
 
 
@@ -154,7 +151,6 @@ class DropMetrics:
     self_satisfied: int = 0
     cellular: int = 0
     removal_iterations: int = 0
-    dca_iterations: int = 0
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -217,7 +213,6 @@ def run_pipeline(
         self_satisfied=content.classes.count(CLASS_SELF_SATISFIED),
         cellular=content.classes.count(CLASS_CELLULAR),
         removal_iterations=ndl_schedule.removal_iterations,
-        dca_iterations=ndl_schedule.dca_iterations,
     )
     return DropResult(topology, content, cdl_schedule, ndl_schedule, metrics)
 

@@ -1,6 +1,6 @@
 """Non-cooperative D2D link pipeline: candidate sets, transmitter/receiver role
 resolution, link selection by matching, admission via the minimum-power solve,
-interference-driven link removal and max-min D.C. power allocation."""
+interference-driven link removal and exact max-min SINR power allocation."""
 
 from __future__ import annotations
 
@@ -9,14 +9,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import numerics
 from .numerics import TOL, BipartiteGraph, SingularSystemError
 from .content import ContentState
 from .topology import Topology, dbm_to_watt
-
-LN2 = math.log(2.0)
 
 ROLE_TRANSMITTER = "transmitter"
 ROLE_RECEIVER = "receiver"
@@ -33,8 +30,6 @@ class NdlConfig:
     pmax_dbm: float = 23.0
     noise_dbm: float = -90.0
     weight_mode: str = "reciprocal"   # matching edge weight: 1/gain or gain
-    dca_max_iters: int = 100
-    dca_tol: float = TOL.dca_improve
 
     @property
     def pmax_w(self) -> float:
@@ -231,12 +226,9 @@ def select_links(
 
 def link_gain_matrix(links, topology: Topology) -> np.ndarray:
     """Entry [i, j] is the power gain from link i's transmitter to link j's receiver."""
-    n = len(links)
-    gains = np.zeros((n, n))
-    for i, (tx, _) in enumerate(links):
-        for j, (_, rx) in enumerate(links):
-            gains[i, j] = topology.gain(tx, rx)
-    return gains
+    txs = [tx for tx, _ in links]
+    rxs = [rx for _, rx in links]
+    return np.abs(topology.channels[np.ix_(txs, rxs)]) ** 2
 
 
 def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
@@ -308,15 +300,12 @@ def check_and_remove(
         ):
             return RemovalOutcome(kept, gains, targets, powers, iterations)
 
-        diag = np.diag(gains)
-        own_min = noise * targets / diag            # minimum power of each link
+        own_min = noise * targets / np.diag(gains)  # minimum power of each link
         tolerance = targets / pmax                  # interference sensitivity
-        injected = np.zeros(len(kept))
-        absorbed = np.zeros(len(kept))
-        for u in range(len(kept)):
-            others = [v for v in range(len(kept)) if v != u]
-            injected[u] = own_min[u] * sum(tolerance[v] * gains[u, v] for v in others)
-            absorbed[u] = tolerance[u] * sum(own_min[v] * gains[v, u] for v in others)
+        cross = gains.copy()
+        np.fill_diagonal(cross, 0.0)
+        injected = own_min * (cross @ tolerance)
+        absorbed = tolerance * (cross.T @ own_min)
         worst = int(np.argmax(np.maximum(injected, absorbed)))
 
         kept.pop(worst)
@@ -331,103 +320,51 @@ def check_and_remove(
 @dataclass
 class DcaResult:
     powers_w: np.ndarray
-    iterations: int
-    objective_trajectory: list  # true min-rate (bits/s/Hz) after each accepted step
+    sinr: float                 # common SINR of every link, the max-min optimum
+    iterations: int             # eigenvalue problems solved
+    objective_trajectory: list  # min rate (bits/s/Hz) at the SINR targets, then at the optimum
 
 
-def dc_power_allocation(
-    gain_matrix,
-    noise_w,
-    pmax_w,
-    start_powers_w,
-    max_iters: int = 100,
-    improve_tol: float = TOL.dca_improve,
-    sinr_targets=None,
-) -> DcaResult:
-    """Max-min rate power allocation by the convex-concave procedure.
+def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult:
+    """Exact max-min SINR power allocation over the power box.
 
-    The rate objective splits as f - g with both parts concave in the powers;
-    each iteration replaces g by its first-order expansion at the incumbent
-    and solves the resulting concave subproblem over the power box (epigraph
-    form, SLSQP).  The true minimum rate never decreases; iterations stop on
-    stagnation below ``improve_tol`` or after ``max_iters`` subproblems.
+    With F[j, l] = G[l, j] / G[j, j] (l != j) and v = noise / diag(G), the
+    optimum SINR is 1 / max_i rho(F + v e_i^T / pmax_i) (Zander 1992): at the
+    optimum every link sits at the same SINR and the binding link at pmax.
+    The powers come from the minimum-power solve at that SINR.  The result is
+    certified (powers in the box, one of them at pmax, optimum no lower than
+    the targets) or an ArithmeticError is raised.
+
+    The function and result names date from the D.C. (convex-concave)
+    procedure this replaced; the benchmark tracer reads them by name.
     """
     gains = np.asarray(gain_matrix, dtype=float)
     n = gains.shape[0]
     if n == 0:
-        return DcaResult(np.zeros(0), 0, [])
-    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,)).copy()
-    pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,)).copy()
+        return DcaResult(np.zeros(0), math.inf, 0, [])
+    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
+    pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,))
+    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
     diag = np.diag(gains)
-    cross = gains.copy()
-    np.fill_diagonal(cross, 0.0)
+    coupling = gains.T / diag[:, None]
+    np.fill_diagonal(coupling, 0.0)
+    # stack[i] = F + v e_i^T / pmax_i: column i gains v / pmax_i
+    stack = np.repeat(coupling[None, :, :], n, axis=0)
+    idx = np.arange(n)
+    stack[idx, :, idx] += (noise / diag)[None, :] / pmax[:, None]
+    radius = np.max(np.abs(np.linalg.eigvals(stack)), axis=1)
+    sinr = float(1.0 / np.max(radius))
 
-    def totals(p):
-        return gains.T @ p + noise
-
-    def interference(p):
-        return cross.T @ p + noise
-
-    def min_rate(p):
-        return float(np.min(np.log2(totals(p) / interference(p))))
-
-    def neg_objective(x):
-        return -x[-1]
-
-    def neg_objective_jac(x):
-        out = np.zeros(n + 1)
-        out[-1] = -1.0
-        return out
-
-    bounds = [(0.0, float(b)) for b in pmax] + [(None, None)]
-    powers = np.clip(np.asarray(start_powers_w, dtype=float).copy(), 0.0, pmax)
-    trajectory = [min_rate(powers)]
-    iterations = 0
-    for _ in range(max_iters):
-        # Surrogate rate of link j: keep the concave log of total received
-        # power, expand the subtracted interference log to first order here.
-        intf0 = interference(powers)
-        slope = cross / (LN2 * intf0)[None, :]          # d g_j / d p_i at the incumbent
-        offset = np.log2(intf0) - slope.T @ powers
-
-        def constraint(x, slope=slope, offset=offset):
-            p = x[:n]
-            return np.log2(totals(p)) - (slope.T @ p + offset) - x[-1]
-
-        def constraint_jac(x, slope=slope):
-            p = x[:n]
-            jac = np.zeros((n, n + 1))
-            jac[:, :n] = (gains / (LN2 * totals(p))[None, :] - slope).T
-            jac[:, -1] = -1.0
-            return jac
-
-        x0 = np.concatenate([powers, [trajectory[-1]]])
-        result = minimize(
-            neg_objective,
-            x0,
-            jac=neg_objective_jac,
-            bounds=bounds,
-            constraints=[{"type": "ineq", "fun": constraint, "jac": constraint_jac}],
-            method="SLSQP",
-            options={"maxiter": 200, "ftol": 1e-10},
-        )
-        iterations += 1
-        candidate = np.clip(result.x[:n], 0.0, pmax)
-        value = min_rate(candidate)
-        if not np.isfinite(value) or value < trajectory[-1] - 1e-12:
-            break
-        improvement = value - trajectory[-1]
-        powers = candidate
-        trajectory.append(value)
-        if improvement < improve_tol:
-            break
-
-    if sinr_targets is not None:
-        targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
-        if np.any(sinrs(powers, gains, noise) < targets * (1.0 - TOL.sinr_match_rel)):
-            start = np.clip(np.asarray(start_powers_w, dtype=float), 0.0, pmax)
-            return DcaResult(start, iterations, [trajectory[0]])
-    return DcaResult(powers, iterations, trajectory)
+    powers = min_power_vector(gains, noise, sinr)
+    if (
+        powers is None
+        or np.any(powers < 0.0)
+        or abs(np.max(powers / pmax) - 1.0) > TOL.power_feasibility_rel
+        or np.any(sinr < targets * (1.0 - TOL.sinr_match_rel))
+    ):
+        raise ArithmeticError(f"max-min power at SINR {sinr!r} failed its certificate")
+    trajectory = [float(np.log2(1.0 + np.min(targets))), float(np.log2(1.0 + sinr))]
+    return DcaResult(powers, sinr, n, trajectory)
 
 
 @dataclass
@@ -441,7 +378,6 @@ class NdlSchedule:
     powers_w: np.ndarray      # final max-min powers
     rates_bps: np.ndarray
     removal_iterations: int = 0
-    dca_iterations: int = 0
 
     @classmethod
     def empty(cls, removal_iterations: int = 0) -> "NdlSchedule":
@@ -502,25 +438,18 @@ def schedule_ndl(
     if not removal.kept:
         return NdlSchedule.empty(removal.iterations)
 
-    dca = dc_power_allocation(
-        removal.gain_matrix,
-        config.noise_w,
-        config.pmax_w,
-        removal.min_powers_w,
-        max_iters=config.dca_max_iters,
-        improve_tol=config.dca_tol,
-        sinr_targets=removal.sinr_targets,
+    power = dc_power_allocation(
+        removal.gain_matrix, config.noise_w, config.pmax_w, removal.sinr_targets
     )
     rates = ndl_rates(
-        dca.powers_w, removal.gain_matrix, config.noise_w, config.bandwidth_hz
+        power.powers_w, removal.gain_matrix, config.noise_w, config.bandwidth_hz
     )
     return NdlSchedule(
         links=removal.kept,
         gain_matrix=removal.gain_matrix,
         sinr_targets=removal.sinr_targets,
         min_powers_w=removal.min_powers_w,
-        powers_w=dca.powers_w,
+        powers_w=power.powers_w,
         rates_bps=rates,
         removal_iterations=removal.iterations,
-        dca_iterations=dca.iterations,
     )

@@ -22,7 +22,6 @@ class Tolerances:
     power_feasibility_rel: float = 1e-6   # slack allowed on power/QoS constraints
     sinr_match_rel: float = 1e-6    # SINR-at-target agreement for minimum powers
     dual_move_rel: float = 1e-5     # multiplier movement declaring dual convergence
-    dca_improve: float = 1e-4       # min-rate gain below which the DCA stops
 
 
 TOL = Tolerances()

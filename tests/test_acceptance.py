@@ -185,40 +185,62 @@ def test_criterion_4_matching_oracle():
     )
 
 
-def test_criterion_5_dca_monotone_and_oracle():
+def bisection_max_min_sinr(gains, noise, pmax, rel_tol=1e-13):
+    """Largest common SINR whose minimum-power vector fits the power box."""
+    lo, hi = 0.0, float(np.min(pmax * np.diag(gains) / noise))
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        p = ndl.min_power_vector(gains, noise, mid)
+        if p is not None and np.all(p >= 0.0) and np.all(p <= pmax):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_criterion_5_dca_certificate_and_oracle():
     rng = np.random.default_rng(505)
     gamma = 2.0**0.5 - 1.0
     start = time.perf_counter()
-    monotone = True
+    certified = True
+    worst_gap = 0.0
     worst_ratio = np.inf
     grid_checked = 0
     total = 0
     while total < 200:
-        n = 2 if total < 60 else int(rng.integers(2, 7))
+        n = 2 if total < 60 else int(rng.integers(2, 9))
         gains = random_link_gains(rng, n)
         p_start = ndl.min_power_vector(gains, NOISE, gamma)
         if p_start is None or np.any(p_start < 0) or np.any(p_start > PMAX):
             continue
-        res = ndl.dc_power_allocation(gains, NOISE, PMAX, p_start)
-        traj = res.objective_trajectory
-        monotone &= all(b >= a - 1e-9 for a, b in zip(traj, traj[1:]))
+        res = ndl.dc_power_allocation(gains, NOISE, PMAX, gamma)
+        achieved = ndl.sinrs(res.powers_w, gains, NOISE)
+        certified &= bool(
+            np.all(res.powers_w >= 0.0)
+            and abs(np.max(res.powers_w) / PMAX - 1.0) <= numerics.TOL.power_feasibility_rel
+            and np.all(np.abs(achieved - res.sinr) <= numerics.TOL.sinr_match_rel * res.sinr)
+            and res.sinr >= gamma * (1.0 - numerics.TOL.sinr_match_rel)
+        )
+        oracle = bisection_max_min_sinr(gains, NOISE, PMAX)
+        worst_gap = max(worst_gap, abs(res.sinr - oracle) / oracle)
         if n == 2:
             axis = np.linspace(0.0, PMAX, 300)
             p0, p1 = np.meshgrid(axis, axis, indexing="ij")
             s0 = p0 * gains[0, 0] / (p1 * gains[1, 0] + NOISE)
             s1 = p1 * gains[1, 1] / (p0 * gains[0, 1] + NOISE)
             best = float(np.minimum(np.log2(1 + s0), np.log2(1 + s1)).max())
-            got = float(np.min(np.log2(1 + ndl.sinrs(res.powers_w, gains, NOISE))))
+            got = float(np.min(np.log2(1 + achieved)))
             worst_ratio = min(worst_ratio, got / best)
             grid_checked += 1
         total += 1
     elapsed = time.perf_counter() - start
     report(
         5,
-        "DCA monotonicity + oracle",
-        monotone and worst_ratio >= 0.98 and elapsed < 60.0,
-        f"monotone={monotone}, worst grid ratio {worst_ratio:.4f} "
-        f"({grid_checked} two-link instances), {elapsed:.1f}s",
+        "max-min power certificate + oracles",
+        certified and worst_gap <= 1e-9 and worst_ratio >= 0.98 and elapsed < 60.0,
+        f"certified={certified}, worst bisection gap {worst_gap:.1e}, "
+        f"worst grid ratio {worst_ratio:.4f} ({grid_checked} two-link instances), "
+        f"{elapsed:.1f}s",
     )
 
 

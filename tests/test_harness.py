@@ -276,6 +276,10 @@ def test_write_results_round_trip(tmp_path):
     rows = [run_cell(config, num_users=10, beta=0.8, mode="coop")]
     rows.append(run_cell(config, num_users=10, beta=0.8, mode="nocoop"))
     path = write_results(rows, tmp_path / "results.csv")
+    header = path.read_text().splitlines()[0].split(",")
+    assert header[:4] == ["beta", "K", "mode", "drops"]
+    assert header[-2:] == ["mean_removal_iterations", "stderr_removal_iterations"]
+    assert len(header) == 20
     parsed = read_results(path)
     assert parsed == rows
 
@@ -333,8 +337,10 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        SimConfig.from_dict({"num_userz": 10})
+    # dca_max_iters configured the iterative NDL power solver, now exact
+    for data in ({"num_userz": 10}, {"dca_max_iters": 100}):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            SimConfig.from_dict(data)
 
 
 def test_config_validation_errors():

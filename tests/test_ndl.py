@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from d2dcache import harness, ndl
 from d2dcache.content import ContentState, derive_group_sets
 from d2dcache.ndl import (
     NdlConfig,
@@ -19,6 +20,7 @@ from d2dcache.ndl import (
     sinrs,
     transmit_cost,
 )
+from d2dcache.numerics import TOL
 from d2dcache.topology import SimGeometry, Topology, build_topology
 from d2dcache.content import build_content_state, Catalog
 
@@ -434,6 +436,46 @@ def test_removal_terminates_within_link_count():
             assert np.all(out.min_powers_w <= PMAX * (1 + 1e-6))
 
 
+def loop_removal(links, gains, noise, targets, pmax):
+    """Reference removal loop: scores summed pair by pair."""
+    kept, gains, targets = list(links), gains.copy(), targets.copy()
+    while True:
+        n = len(kept)
+        powers = min_power_vector(gains, noise, targets)
+        if powers is not None and np.all(powers >= 0.0) and np.all(
+            powers <= pmax * (1.0 + TOL.power_feasibility_rel)
+        ):
+            return kept
+        own_min = noise * targets / np.diag(gains)
+        tolerance = targets / pmax
+        scores = [
+            max(
+                own_min[u] * sum(tolerance[v] * gains[u, v] for v in range(n) if v != u),
+                tolerance[u] * sum(own_min[v] * gains[v, u] for v in range(n) if v != u),
+            )
+            for u in range(n)
+        ]
+        worst = int(np.argmax(scores))
+        kept.pop(worst)
+        keep = [v for v in range(n) if v != worst]
+        gains, targets = gains[np.ix_(keep, keep)], targets[keep]
+
+
+def test_removal_matches_pairwise_loop():
+    rng = np.random.default_rng(11)
+    fired = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        gains = rng.uniform(0.05, 1.0, (n, n)) * 10.0 ** rng.uniform(-11, -9)
+        gains[np.arange(n), np.arange(n)] = rng.uniform(0.5, 3.0, n) * 1e-9
+        targets = rng.uniform(2.0, 15.0, n)
+        links = [(i, n + i) for i in range(n)]
+        out = check_and_remove(links, gains, NOISE, targets, PMAX)
+        assert out.kept == loop_removal(links, gains, NOISE, targets, PMAX)
+        fired += out.iterations > 0
+    assert fired > 100
+
+
 # --- rates and max-min power allocation ------------------------------------------------
 
 
@@ -462,39 +504,62 @@ def test_rates_match_direct_recomputation():
         assert rates[j] == pytest.approx(10e6 * np.log2(1 + gamma), rel=1e-12)
 
 
+def assert_power_certificate(res, gains, targets, noise=NOISE, pmax=PMAX):
+    """Powers in the box with one at pmax, every SINR at the optimum, the
+    optimum no lower than the targets."""
+    assert np.all(res.powers_w >= 0.0)
+    assert abs(np.max(res.powers_w / pmax) - 1.0) <= TOL.power_feasibility_rel
+    achieved = sinrs(res.powers_w, gains, noise)
+    assert np.all(np.abs(achieved - res.sinr) <= TOL.sinr_match_rel * res.sinr)
+    assert res.sinr >= np.max(targets) * (1.0 - TOL.sinr_match_rel)
+
+
 def test_dca_single_link_full_power():
     gains = np.array([[2e-9]])
-    start = np.array([NOISE * GAMMA / 2e-9])
-    res = dc_power_allocation(gains, NOISE, PMAX, start)
-    assert res.powers_w[0] == pytest.approx(PMAX, rel=1e-6)
+    res = dc_power_allocation(gains, NOISE, PMAX, GAMMA)
+    assert res.powers_w[0] == pytest.approx(PMAX, rel=1e-12)
+    assert res.sinr == pytest.approx(PMAX * 2e-9 / NOISE, rel=1e-12)
 
 
 def test_dca_symmetric_links_get_equal_power():
     gains = np.array([[2e-9, 2e-10], [2e-10, 2e-9]])
-    start = min_power_vector(gains, NOISE, GAMMA)
-    res = dc_power_allocation(gains, NOISE, PMAX, start)
-    assert res.powers_w[0] == pytest.approx(res.powers_w[1], rel=1e-4)
+    res = dc_power_allocation(gains, NOISE, PMAX, GAMMA)
+    assert res.powers_w[0] == pytest.approx(res.powers_w[1], rel=1e-9)
+    assert res.powers_w[0] == pytest.approx(PMAX, rel=1e-9)
 
 
-def test_dca_monotone_and_never_below_start():
+def test_dca_zero_cross_gain_is_weakest_snr():
+    diag = np.array([1e-9, 3e-9, 2e-9])
+    res = dc_power_allocation(np.diag(diag), NOISE, PMAX, GAMMA)
+    assert res.sinr == pytest.approx(np.min(PMAX * diag / NOISE), rel=1e-12)
+    assert res.powers_w == pytest.approx(res.sinr * NOISE / diag, rel=1e-12)
+    assert res.iterations == 3
+    assert_power_certificate(res, np.diag(diag), GAMMA)
+
+
+def test_dca_certified_and_never_below_targets():
     rng = np.random.default_rng(7)
     done = 0
     while done < 25:
-        n = int(rng.integers(2, 6))
+        n = int(rng.integers(2, 9))
         gains = rng.uniform(0.1, 1.0, (n, n)) * 1e-11
         gains[np.arange(n), np.arange(n)] = rng.uniform(0.5, 5.0, n) * 1e-9
         start = min_power_vector(gains, NOISE, GAMMA)
         if start is None or np.any(start < 0) or np.any(start > PMAX):
             continue
-        res = dc_power_allocation(gains, NOISE, PMAX, start, sinr_targets=GAMMA)
-        traj = res.objective_trajectory
-        assert all(b >= a - 1e-9 for a, b in zip(traj, traj[1:]))
-        start_rate = float(np.min(np.log2(1 + sinrs(start, gains, NOISE))))
-        final_rate = float(np.min(np.log2(1 + sinrs(res.powers_w, gains, NOISE))))
-        assert final_rate >= start_rate - 1e-9
-        assert np.all(res.powers_w >= 0) and np.all(res.powers_w <= PMAX * (1 + 1e-12))
-        assert np.all(sinrs(res.powers_w, gains, NOISE) >= GAMMA * (1 - 1e-6))
+        res = dc_power_allocation(gains, NOISE, PMAX, GAMMA)
+        assert_power_certificate(res, gains, GAMMA)
+        assert res.iterations == n
+        assert res.objective_trajectory == pytest.approx(
+            [np.log2(1 + GAMMA), np.log2(1 + res.sinr)], rel=1e-15
+        )
         done += 1
+
+
+def test_dca_rejects_targets_above_the_optimum():
+    gains = np.array([[2e-9]])
+    with pytest.raises(ArithmeticError):
+        dc_power_allocation(gains, NOISE, PMAX, 2.0 * PMAX * 2e-9 / NOISE)
 
 
 def test_dca_two_link_grid_oracle():
@@ -506,7 +571,7 @@ def test_dca_two_link_grid_oracle():
         start = min_power_vector(gains, NOISE, GAMMA)
         if start is None or np.any(start < 0) or np.any(start > PMAX):
             continue
-        res = dc_power_allocation(gains, NOISE, PMAX, start)
+        res = dc_power_allocation(gains, NOISE, PMAX, GAMMA)
         axis = np.linspace(0.0, PMAX, 300)
         p1, p2 = np.meshgrid(axis, axis, indexing="ij")
         s1 = p1 * gains[0, 0] / (p2 * gains[1, 0] + NOISE)
@@ -514,6 +579,8 @@ def test_dca_two_link_grid_oracle():
         best = np.minimum(np.log2(1 + s1), np.log2(1 + s2)).max()
         ours = float(np.min(np.log2(1 + sinrs(res.powers_w, gains, NOISE))))
         assert ours >= 0.98 * best
+        # the grid is feasible, so the exact optimum cannot lose to it
+        assert ours >= best * (1.0 - 1e-12)
         done += 1
 
 
@@ -550,6 +617,25 @@ def test_schedule_ndl_invariants_on_random_drops():
             assert np.max(np.abs(at_min / schedule.sinr_targets - 1.0)) < 1e-6
 
 
+def test_pipeline_ndl_power_is_certified(monkeypatch):
+    solve = ndl.dc_power_allocation
+    calls = []
+
+    def recording(gains, noise_w, pmax_w, sinr_targets):
+        result = solve(gains, noise_w, pmax_w, sinr_targets)
+        calls.append((gains, noise_w, pmax_w, sinr_targets, result))
+        return result
+
+    monkeypatch.setattr(ndl, "dc_power_allocation", recording)
+    config = harness.SimConfig()
+    for mode in harness.MODES:
+        for seed in range(1, 21):
+            harness.run_drop(config, seed, num_users=30, beta=1.2, mode=mode)
+    assert len(calls) > 20
+    for gains, noise_w, pmax_w, targets, result in calls:
+        assert_power_certificate(result, gains, targets, noise_w, pmax_w)
+
+
 def test_link_gain_matrix_orientation():
     channels = np.zeros((4, 4), dtype=complex)
     channels[0, 1] = 2.0
@@ -563,6 +649,14 @@ def test_link_gain_matrix_orientation():
     assert gains[1, 1] == pytest.approx(9.0)
     assert gains[0, 1] == pytest.approx(0.25)   # tx of link 0 into rx of link 1
     assert gains[1, 0] == pytest.approx(0.0625)
+    rng = np.random.default_rng(10)
+    channels = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    topo = topology_with(channels)
+    links = [(0, 4), (7, 2), (3, 8), (5, 1)]
+    gains = link_gain_matrix(links, topo)
+    for i, (tx, _) in enumerate(links):
+        for j, (_, rx) in enumerate(links):
+            assert gains[i, j] == topo.gain(tx, rx)
 
 
 def test_config_validation():
