@@ -62,23 +62,6 @@ def cdl_rates(powers_w, channel_matrix, w_bar, noise_w, bandwidth_hz) -> np.ndar
     return bandwidth_hz * np.log2(1.0 + cdl_sinrs(powers_w, channel_matrix, w_bar, noise_w))
 
 
-def cdl_rate_general(
-    n: int, powers_w, channel_matrix, w_bar, noise_w, bandwidth_hz
-) -> float:
-    """Rate of CR ``n`` keeping the explicit inter-CDL interference sum.
-
-    With a zero-forcing precoder the cross terms vanish and this matches
-    :func:`cdl_rates`; it exists so tests can verify exactly that.
-    """
-    powers_w = np.asarray(powers_w, dtype=float)
-    gains = effective_gains(channel_matrix, w_bar)
-    signal = powers_w[n] * gains[n]
-    h_n = channel_matrix[:, n]
-    cross = np.abs(h_n.conj() @ w_bar) ** 2
-    interference = float(np.sum(np.delete(powers_w * cross, n)))
-    return bandwidth_hz * math.log2(1.0 + signal / (interference + noise_w))
-
-
 @dataclass
 class CdlPowerResult:
     powers_w: np.ndarray
@@ -169,6 +152,31 @@ def _interior_point(a, wsq, budgets):
     return x, lam, steps
 
 
+def qos_floor_powers(
+    channel_matrix: np.ndarray,
+    w_bar: np.ndarray,
+    *,
+    pmax_w,
+    noise_w,
+    sinr_targets,
+) -> np.ndarray | None:
+    """Stream powers meeting every QoS floor with equality, or None when the
+    QoS is infeasible.
+
+    With the ZF precoder the floors decouple per CR, so the floor powers are
+    the minimum-power point; the QoS is feasible exactly when every CR has a
+    positive effective gain and these powers fit every CT budget within
+    ``TOL.power_feasibility_rel``.
+    """
+    gains = effective_gains(channel_matrix, w_bar)
+    if np.any(gains <= 0):
+        return None
+    p_min = sinr_targets * noise_w / gains
+    if np.any(np.abs(w_bar) ** 2 @ p_min > pmax_w * (1.0 + TOL.power_feasibility_rel)):
+        return None
+    return p_min
+
+
 def allocate_cdl_power(
     channel_matrix: np.ndarray,
     w_bar: np.ndarray,
@@ -179,11 +187,10 @@ def allocate_cdl_power(
 ) -> CdlPowerResult | None:
     """Sum-rate maximizing stream powers, or None when the QoS is infeasible.
 
-    A deterministic minimum-power pre-check decides feasibility: the QoS
-    floors met with equality must fit every CT budget within
-    ``TOL.power_feasibility_rel``.  The remaining concave program (maximize
-    sum log2(1 + g_n p_n / sigma) s.t. W p <= Pmax, p >= p_min) is solved by a
-    primal-dual interior-point method.  ``converged`` is its certificate: the
+    The deterministic pre-check :func:`qos_floor_powers` decides feasibility.
+    The remaining concave program (maximize sum log2(1 + g_n p_n / sigma)
+    s.t. W p <= Pmax, p >= p_min) is solved by a primal-dual interior-point
+    method.  ``converged`` is its certificate: the
     Lagrange dual bound at the returned ``lambda_tx`` exceeds the returned
     objective by at most ``GAP_TOL`` bit/s/Hz.  ``mu_rx`` are the QoS
     multipliers in rate form, from stationarity
@@ -197,15 +204,13 @@ def allocate_cdl_power(
     if num_rx == 0:
         return CdlPowerResult(np.zeros(0), np.zeros(num_tx), np.zeros(0), 0, True)
 
+    p_min = qos_floor_powers(
+        channel_matrix, w_bar, pmax_w=pmax_w, noise_w=noise_w, sinr_targets=targets
+    )
+    if p_min is None:
+        return None
     wsq = np.abs(w_bar) ** 2                      # (M, N)
     gains = effective_gains(channel_matrix, w_bar)  # (N,)
-    if np.any(gains <= 0):
-        return None
-
-    # QoS met with equality decouples per CR; test the per-CT budgets there.
-    p_min = targets * noise_w / gains
-    if np.any(wsq @ p_min > pmax_w * (1.0 + TOL.power_feasibility_rel)):
-        return None
 
     # Solve for the excess x = p - p_min in units of the largest budget.  A CT
     # whose floors leave it no headroom (the pre-check admits a small
@@ -247,8 +252,8 @@ class CdlSchedule:
     precoder: ZfPrecoder | None
     powers_w: np.ndarray
     rates_bps: np.ndarray
-    dual_iterations: int = 0
-    dual_converged: bool = True
+    newton_steps: int = 0             # of the one power solve on the final set
+    power_certified: bool = True      # that solve met its duality-gap certificate
 
     @classmethod
     def empty(cls, transmitters=()) -> "CdlSchedule":
@@ -277,65 +282,72 @@ def schedule_cdl(
     topology: Topology,
     config: CdlConfig,
 ) -> CdlSchedule:
-    """Greedy semi-orthogonal CR selection with per-step power allocation.
+    """Greedy semi-orthogonal CR selection, then one sum-rate power solve.
 
-    Each round orthogonalizes the remaining candidate channels against the
-    already selected ones, admits the strongest residual, re-solves the power
-    allocation, and rolls the admission back (stopping) if it turns
-    infeasible.  Survivors of each round must keep their normalized channel
-    correlation to the newly admitted direction below ``config.epsilon``.
+    Each round projects every remaining candidate channel onto the orthogonal
+    complement of the residual directions admitted so far and picks the
+    strongest residual (the lowest user id on ties).  The pick is admitted
+    only if the ZF precoder of the enlarged set exists and the minimum-power
+    pre-check :func:`qos_floor_powers` passes; otherwise selection stops.
+    Survivors of each round must keep their normalized channel correlation to
+    the newly admitted direction below ``config.epsilon``.  The powers come
+    from one certified :func:`allocate_cdl_power` solve on the final set.
     """
     tx = np.asarray(sorted(transmitters), dtype=int)
-    pool = sorted(int(c) for c in candidates)
+    pool = np.asarray(sorted(int(c) for c in candidates), dtype=int)
     limit = tx.size if config.allow_full_rank else tx.size - 1
-    if tx.size == 0 or limit <= 0 or not pool:
+    if tx.size == 0 or limit <= 0 or not pool.size:
         return CdlSchedule.empty(tx)
 
-    channel_of = {c: topology.channels[tx, c] for c in pool}
     selected: list[int] = []
-    basis: list[np.ndarray] = []
-    committed: tuple[ZfPrecoder, CdlPowerResult] | None = None
-
-    round_index = 1
-    while round_index <= limit and pool:
-        residuals = {t: numerics.gs_residual(channel_of[t], basis) for t in pool}
-        pick = max(pool, key=lambda t: (np.linalg.norm(residuals[t]) ** 2, -t))
-        trial = selected + [pick]
-        h_sel = topology.channels[np.ix_(tx, np.asarray(trial))]
+    precoder: ZfPrecoder | None = None
+    basis = np.zeros((tx.size, 0), dtype=complex)   # admitted residual directions
+    basis_norms_sq = np.zeros(0)
+    while len(selected) < limit and pool.size:
+        h_pool = topology.channels[np.ix_(tx, pool)]
+        coefficients = (basis.conj().T @ h_pool) / basis_norms_sq[:, None]
+        residuals = h_pool - basis @ coefficients
+        energies = np.sum(np.abs(residuals) ** 2, axis=0)
+        best = int(np.argmax(energies))   # pool is sorted: first max is lowest id
+        trial = selected + [int(pool[best])]
+        h_trial = topology.channels[np.ix_(tx, np.asarray(trial))]
         try:
-            precoder = numerics.zf_precoder(h_sel)
+            trial_precoder = numerics.zf_precoder(h_trial)
         except PrecoderSingularError:
             break
-        result = allocate_cdl_power(
-            h_sel,
-            precoder.normalized,
+        if qos_floor_powers(
+            h_trial,
+            trial_precoder.normalized,
             pmax_w=config.pmax_w,
             noise_w=config.noise_w,
             sinr_targets=config.sinr_target,
-        )
-        if result is None:
+        ) is None:
             break
-        selected = trial
-        committed = (precoder, result)
-        direction = residuals[pick]
+        selected, h_sel, precoder = trial, h_trial, trial_precoder
+        direction = residuals[:, best]
         norm_dir = np.linalg.norm(direction)
         if norm_dir == 0.0:
             break
-        basis.append(direction)
-        pool = [
-            t
-            for t in pool
-            if t != pick
-            and abs(np.vdot(channel_of[t], direction))
-            / (np.linalg.norm(channel_of[t]) * norm_dir)
-            < config.epsilon
-        ]
-        round_index += 1
+        basis = np.column_stack([basis, direction])
+        basis_norms_sq = np.append(basis_norms_sq, norm_dir**2)
+        correlation = np.abs(direction.conj() @ h_pool) / (
+            np.linalg.norm(h_pool, axis=0) * norm_dir
+        )
+        keep = correlation < config.epsilon
+        keep[best] = False
+        pool = pool[keep]
 
-    if not selected or committed is None:
+    if precoder is None:
         return CdlSchedule.empty(tx)
-    precoder, result = committed
-    h_sel = topology.channels[np.ix_(tx, np.asarray(selected))]
+    result = allocate_cdl_power(
+        h_sel,
+        precoder.normalized,
+        pmax_w=config.pmax_w,
+        noise_w=config.noise_w,
+        sinr_targets=config.sinr_target,
+    )
+    # the last admission passed this very pre-check, so the solve is feasible
+    assert result is not None
     rates = cdl_rates(
         result.powers_w, h_sel, precoder.normalized, config.noise_w, config.bandwidth_hz
     )
@@ -346,6 +358,6 @@ def schedule_cdl(
         precoder=precoder,
         powers_w=result.powers_w,
         rates_bps=rates,
-        dual_iterations=result.iterations,
-        dual_converged=result.converged,
+        newton_steps=result.iterations,
+        power_certified=result.converged,
     )

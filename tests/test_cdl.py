@@ -6,7 +6,6 @@ from d2dcache.cdl import (
     GAP_TOL,
     CdlConfig,
     allocate_cdl_power,
-    cdl_rate_general,
     cdl_rates,
     cdl_sinrs,
     effective_gains,
@@ -79,8 +78,13 @@ def test_rate_with_explicit_interference_matches_precoded_form():
         prec = numerics.zf_precoder(h)
         powers = rng.uniform(0.01, 0.1, n)
         direct = cdl_rates(powers, h, prec.normalized, NOISE, 10e6)
+        gains = effective_gains(h, prec.normalized)
         for idx in range(n):
-            general = cdl_rate_general(idx, powers, h, prec.normalized, NOISE, 10e6)
+            # signal over noise plus the explicit inter-CDL cross terms
+            cross = np.abs(h[:, idx].conj() @ prec.normalized) ** 2
+            interference = np.sum(np.delete(powers * cross, idx))
+            sinr = powers[idx] * gains[idx] / (interference + NOISE)
+            general = 10e6 * np.log2(1.0 + sinr)
             assert general == pytest.approx(direct[idx], rel=1e-9)
 
 
@@ -219,10 +223,34 @@ def test_pipeline_power_allocations_are_certified(monkeypatch):
 
     monkeypatch.setattr(cdl, "allocate_cdl_power", recording)
     config = harness.SimConfig()
-    for seed in range(1, 21):
+    for seed in range(1, 61):
         harness.run_drop(config, seed, num_users=30, beta=1.2, mode="coop")
     assert results
     assert all(result.converged for result in results)
+
+
+def test_schedule_cdl_solves_power_once(monkeypatch):
+    solve, schedule = cdl.allocate_cdl_power, cdl.schedule_cdl
+    calls = []
+    observed = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    def recording_schedule(*args, **kwargs):
+        calls.clear()
+        result = schedule(*args, **kwargs)
+        observed.append((result.num_served, len(calls)))
+        return result
+
+    monkeypatch.setattr(cdl, "allocate_cdl_power", counting_solve)
+    monkeypatch.setattr(harness, "schedule_cdl", recording_schedule)
+    config = harness.SimConfig()
+    for seed in range(1, 61):
+        harness.run_drop(config, seed, num_users=30, beta=1.2, mode="coop")
+    assert any(served > 0 for served, _ in observed)
+    assert all(count == (1 if served > 0 else 0) for served, count in observed)
 
 
 # --- scheduling -------------------------------------------------------------------
@@ -361,6 +389,68 @@ def test_schedule_invariants_on_random_instances():
                 )
                 assert corr < config.epsilon
             basis.append(numerics.gs_residual(h_rx, basis))
+
+
+def per_candidate_schedule(tx, candidates, topology, config):
+    """Reference greedy selection: one Gram-Schmidt residual and one
+    correlation per candidate, and a full power solve every round."""
+    pool = sorted(candidates)
+    limit = len(tx) if config.allow_full_rank else len(tx) - 1
+    if not tx or limit <= 0 or not pool:
+        return [], np.zeros(0)
+    channel_of = {c: topology.channels[tx, c] for c in pool}
+    selected, basis, powers = [], [], np.zeros(0)
+    while len(selected) < limit and pool:
+        residuals = {t: numerics.gs_residual(channel_of[t], basis) for t in pool}
+        pick = max(pool, key=lambda t: (np.linalg.norm(residuals[t]) ** 2, -t))
+        trial = selected + [pick]
+        h_sel = topology.channels[np.ix_(tx, trial)]
+        try:
+            prec = numerics.zf_precoder(h_sel)
+        except numerics.PrecoderSingularError:
+            break
+        result = allocate_cdl_power(
+            h_sel,
+            prec.normalized,
+            pmax_w=config.pmax_w,
+            noise_w=config.noise_w,
+            sinr_targets=config.sinr_target,
+        )
+        if result is None:
+            break
+        selected, powers = trial, result.powers_w
+        direction = residuals[pick]
+        norm_dir = np.linalg.norm(direction)
+        if norm_dir == 0.0:
+            break
+        basis.append(direction)
+        pool = [
+            t
+            for t in pool
+            if t != pick
+            and abs(np.vdot(channel_of[t], direction))
+            / (np.linalg.norm(channel_of[t]) * norm_dir)
+            < config.epsilon
+        ]
+    return selected, powers
+
+
+def test_selection_matches_per_candidate_loop():
+    rng = np.random.default_rng(10)
+    for _ in range(3000):
+        m = int(rng.integers(1, 7))
+        n_cand = int(rng.integers(1, 13))
+        config = CdlConfig(
+            epsilon=float(rng.uniform(0.2, 0.95)),
+            rmin_bps_per_hz=float(rng.choice([0.5, 3.0, 6.0])),
+            allow_full_rank=bool(rng.integers(2)),
+        )
+        topo = coop_topology(random_channels(rng, m, n_cand))
+        tx, cands = list(range(m)), list(range(m, m + n_cand))
+        schedule = schedule_cdl(tx, cands, topo, config)
+        receivers, powers = per_candidate_schedule(tx, cands, topo, config)
+        assert schedule.receivers.tolist() == receivers
+        assert schedule.powers_w.tobytes() == powers.tobytes()
 
 
 def test_schedule_deterministic():
