@@ -89,10 +89,8 @@ def draw_requests(
     probs = file_request_probs(catalog)
     files = rng.choice(catalog.num_files, size=num_users, p=probs) + 1
     request = np.zeros((num_users, catalog.num_groups), dtype=np.int8)
-    for k, rank in enumerate(files):
-        g = catalog.group_of_file(int(rank))
-        if g >= 0:
-            request[k, g] = 1
+    popular = np.flatnonzero(files <= catalog.num_popular)
+    request[popular, (files[popular] - 1) // catalog.cache_size] = 1
     return request, files.astype(int)
 
 
@@ -128,24 +126,20 @@ def classify_users(
     cached by anyone (it is a CR candidate regardless of distance); other
     requesters need a cacher of their group within the D2D radius.
     """
-    num_users = cache.shape[0]
     groups = requested_groups(request)
-    classes: list[str] = []
-    for k in range(num_users):
-        g = groups[k]
-        if g < 0:
-            classes.append(CLASS_IDLE)
-        elif cache[k, g] == 1:
-            classes.append(CLASS_SELF_SATISFIED)
-        else:
-            cachers = np.flatnonzero(cache[:, g])
-            if coop_group is not None and g == coop_group and cachers.size > 0:
-                classes.append(CLASS_D2D)
-            elif np.any(distances[k, cachers] < d2d_radius_m):
-                classes.append(CLASS_D2D)
-            else:
-                classes.append(CLASS_CELLULAR)
-    return classes
+    users = np.arange(cache.shape[0])
+    group = np.maximum(groups, 0)
+    cached = cache == 1
+    # near_cacher[k, g]: some cacher of group g is within range of user k
+    near_cacher = (distances < d2d_radius_m) @ cached
+    # all False when coop_group is None
+    coop_reachable = (groups == coop_group) & cached.any(axis=0)[group]
+    classes = np.select(
+        [groups < 0, cached[users, group], coop_reachable | near_cacher[users, group]],
+        [CLASS_IDLE, CLASS_SELF_SATISFIED, CLASS_D2D],
+        CLASS_CELLULAR,
+    )
+    return classes.tolist()
 
 
 def select_coop_group(demand_sets) -> int:

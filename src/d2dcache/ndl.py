@@ -17,7 +17,6 @@ from .topology import Topology, dbm_to_watt
 
 ROLE_TRANSMITTER = "transmitter"
 ROLE_RECEIVER = "receiver"
-ROLE_EXCLUDED = "excluded"
 
 WEIGHT_MODES = ("reciprocal", "gain")
 
@@ -85,23 +84,24 @@ def build_candidates(
     excluded=frozenset(),
 ) -> NdlCandidates:
     """Candidate sets over the non-cooperative groups, skipping excluded users."""
-    excluded = set(excluded)
-    suppliers: dict[int, list[int]] = {}
-    for g in range(content.num_groups):
-        if content.mode[g] == 1:
-            continue
-        for j in content.demand_sets[g]:
-            j = int(j)
-            if j in excluded:
-                continue
-            near = [
-                int(k)
-                for k in content.caching_sets[g]
-                if int(k) not in excluded and topology.distances[int(k), j] < radius_m
-            ]
-            if near:
-                suppliers[j] = sorted(near)
-    return NdlCandidates(suppliers)
+    allowed = np.ones(topology.num_users, dtype=bool)
+    allowed[list(excluded)] = False
+    # unserved demand of a group left to the NDLs
+    wants = (content.request == 1) & (content.cache == 0) & (content.mode == 0)
+    receivers = np.flatnonzero(wants.any(axis=1) & allowed)
+    # near[c, k]: k caches the group receivers[c] wants and is within range
+    near = (
+        (content.cache[:, content.requested_group[receivers]] == 1)
+        & (topology.distances[:, receivers] < radius_m)
+        & allowed[:, None]
+    ).T
+    counts = near.sum(axis=1)
+    lists = np.split(np.nonzero(near)[1], np.cumsum(counts)[:-1])
+    return NdlCandidates({
+        j: near_j.tolist()
+        for j, near_j, count in zip(receivers.tolist(), lists, counts)
+        if count
+    })
 
 
 @dataclass
@@ -113,36 +113,32 @@ class PhaseOneOutcome:
     beta: dict    # minimum interference introduced by the user's best supplier
 
 
-def transmit_cost(u: int, candidates: NdlCandidates, topology: Topology,
-                  noise_w: float, sinr_target: float) -> float:
-    """Interference user ``u`` injects at minimum power when serving its best
-    in-range requester; +inf when it has nobody to serve."""
-    served = [j for j in candidates.receivers if u in candidates.suppliers[j]]
-    if not served:
-        return math.inf
-    v = max(served, key=lambda j: (topology.gain(u, j), -j))
-    min_power = noise_w * sinr_target / topology.gain(u, v)
-    return min_power * sum(
-        topology.gain(u, w) for w in candidates.receivers if w not in (u, v)
+def _role_costs(gains, supplies, receivers, columns, scale):
+    """Transmit and receive costs of the ambiguous users receivers[columns]."""
+    ambiguous = receivers[columns]
+    rows = np.arange(ambiguous.size)
+    # Costs are masked sums over the receiver row: subtracting the skipped
+    # terms from a row total loses the relative precision of small costs.
+    others = receivers[None, :] != ambiguous[:, None]
+
+    tx_row = gains[np.ix_(ambiguous, receivers)]
+    served = np.argmax(np.where(supplies[ambiguous], tx_row, -np.inf), axis=1)
+    skip = others.copy()
+    skip[rows, served] = False
+    alpha = scale / tx_row[rows, served] * np.where(skip, tx_row, 0.0).sum(axis=1)
+
+    beta = np.full(ambiguous.size, np.inf)
+    has_supplier = supplies[:, columns].any(axis=0)
+    users = ambiguous[has_supplier]
+    tau = np.argmax(
+        np.where(supplies[:, columns[has_supplier]], gains[:, users], -np.inf), axis=0
     )
-
-
-def receive_cost(u: int, candidates: NdlCandidates, topology: Topology,
-                 noise_w: float, sinr_target: float) -> float:
-    """Interference injected by u's strongest supplier serving u at minimum
-    power; +inf when u has no supplier.
-
-    The sum skips the served user (its term is signal, not interference) and
-    the transmitter itself, mirroring :func:`transmit_cost`.
-    """
-    suppliers = candidates.suppliers.get(u, [])
-    if not suppliers:
-        return math.inf
-    tau = max(suppliers, key=lambda k: (topology.gain(k, u), -k))
-    min_power = noise_w * sinr_target / topology.gain(tau, u)
-    return min_power * sum(
-        topology.gain(tau, w) for w in candidates.receivers if w not in (u, tau)
+    rx_row = gains[np.ix_(tau, receivers)]
+    skip = others[has_supplier] & (receivers[None, :] != tau[:, None])
+    beta[has_supplier] = (
+        scale / gains[tau, users] * np.where(skip, rx_row, 0.0).sum(axis=1)
     )
+    return alpha, beta
 
 
 def nt_nr_decision(
@@ -151,37 +147,51 @@ def nt_nr_decision(
     noise_w: float,
     sinr_target: float,
 ) -> tuple[NdlCandidates, PhaseOneOutcome]:
-    """Resolve every ambiguous user to one role.
+    """Resolve every ambiguous user (a candidate receiver that also supplies
+    one) to one role.
 
-    Costs are computed in user-index order against the initial candidate sets
-    and applied in one batch: a cheaper transmitter role drops the user from
-    the receiver pool, otherwise it is struck from every supplier list (ties
-    keep it a receiver).  Users with neither role available are excluded.
+    The transmit cost alpha_u is the interference u injects at minimum power
+    into the other candidate receivers when serving its strongest requester v;
+    the receive cost beta_u is what u's strongest supplier tau injects into the
+    other candidate receivers when serving u, +inf when u has no supplier.  The
+    sums skip the served user and the transmitter itself, and strongest-channel
+    ties go to the lowest id.  Costs are taken against the initial candidate
+    sets and applied in one batch: a strictly cheaper transmitter role drops
+    the user from the receiver pool, otherwise (ties included) it is struck
+    from every supplier list.
     """
-    roles: dict[int, str] = {}
-    alpha: dict[int, float] = {}
-    beta: dict[int, float] = {}
-    for u in candidates.ambiguous:
-        a = transmit_cost(u, candidates, topology, noise_w, sinr_target)
-        b = receive_cost(u, candidates, topology, noise_w, sinr_target)
-        alpha[u], beta[u] = a, b
-        if math.isinf(a) and math.isinf(b):
-            roles[u] = ROLE_EXCLUDED
-        elif a < b:
-            roles[u] = ROLE_TRANSMITTER
-        else:
-            roles[u] = ROLE_RECEIVER
+    receivers = np.array(candidates.receivers, dtype=int)
+    ambiguous = np.array(candidates.ambiguous, dtype=int)
+    # supplies[k, c]: user k is a supplier of receivers[c]
+    supplies = np.zeros((topology.num_users, receivers.size), dtype=bool)
+    for c, j in enumerate(receivers.tolist()):
+        supplies[candidates.suppliers[j], c] = True
+    alpha = beta = np.zeros(0)
+    if ambiguous.size:
+        alpha, beta = _role_costs(
+            topology.power_gains,
+            supplies,
+            receivers,
+            np.searchsorted(receivers, ambiguous),
+            noise_w * sinr_target,
+        )
 
-    suppliers: dict[int, list[int]] = {}
-    for j, txs in candidates.suppliers.items():
-        if roles.get(j) in (ROLE_TRANSMITTER, ROLE_EXCLUDED):
-            continue
-        # Non-ambiguous candidates always survive this phase, even when their
-        # supplier list empties; they simply contribute no edges later on.
-        suppliers[j] = [
-            k for k in txs if roles.get(k) not in (ROLE_RECEIVER, ROLE_EXCLUDED)
-        ]
-    return NdlCandidates(suppliers), PhaseOneOutcome(roles, alpha, beta)
+    ids = ambiguous.tolist()
+    roles = {
+        u: ROLE_TRANSMITTER if cheaper else ROLE_RECEIVER
+        for u, cheaper in zip(ids, (alpha < beta).tolist())
+    }
+    # Non-ambiguous candidates always survive this phase, even when their
+    # supplier list empties; they simply contribute no edges later on.
+    suppliers = {
+        j: [k for k in txs if roles.get(k) != ROLE_RECEIVER]
+        for j, txs in candidates.suppliers.items()
+        if roles.get(j) != ROLE_TRANSMITTER
+    }
+    outcome = PhaseOneOutcome(
+        roles, dict(zip(ids, alpha.tolist())), dict(zip(ids, beta.tolist()))
+    )
+    return NdlCandidates(suppliers), outcome
 
 
 def select_links(
@@ -209,15 +219,17 @@ def select_links(
 
     matched: list[tuple[int, int]] = []
     if contested:
-        left_ids = sorted({k for k, _ in contested})
-        right_ids = sorted({j for _, j in contested})
+        txs, rxs = zip(*contested)
+        left_ids = sorted(set(txs))
+        right_ids = sorted(set(rxs))
         left_index = {k: i for i, k in enumerate(left_ids)}
         right_index = {j: i for i, j in enumerate(right_ids)}
-        graph_edges = []
-        for k, j in contested:
-            gain = topology.gain(k, j)
-            weight = 1.0 / gain if weight_mode == "reciprocal" else gain
-            graph_edges.append((left_index[k], right_index[j], weight))
+        gains = topology.power_gains[txs, rxs]
+        weights = 1.0 / gains if weight_mode == "reciprocal" else gains
+        graph_edges = [
+            (left_index[k], right_index[j], weight)
+            for (k, j), weight in zip(contested, weights.tolist())
+        ]
         graph = BipartiteGraph(len(left_ids), len(right_ids), graph_edges)
         pairs = numerics.max_weight_matching(graph)
         matched = [(left_ids[i], right_ids[j]) for i, j in pairs]
@@ -228,7 +240,7 @@ def link_gain_matrix(links, topology: Topology) -> np.ndarray:
     """Entry [i, j] is the power gain from link i's transmitter to link j's receiver."""
     txs = [tx for tx, _ in links]
     rxs = [rx for _, rx in links]
-    return np.abs(topology.channels[np.ix_(txs, rxs)]) ** 2
+    return topology.power_gains[np.ix_(txs, rxs)]
 
 
 def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
@@ -272,6 +284,33 @@ class RemovalOutcome:
     iterations: int
 
 
+def removal_order(gain_matrix, noise_w, sinr_targets, pmax_w) -> list[int]:
+    """Link indices in the order the removal loop drops them.
+
+    Each step scores the links still alive by the largest relative
+    interference their minimum-power operation injects or absorbs, and drops
+    the worst.  The scores do not depend on the admission solve, so the order
+    is fixed before any solve runs.
+    """
+    gains = np.asarray(gain_matrix, dtype=float)
+    own_min = noise_w * sinr_targets / np.diag(gains)  # minimum power of each link
+    tolerance = sinr_targets / pmax_w                   # interference sensitivity
+    cross = gains.copy()
+    np.fill_diagonal(cross, 0.0)
+    alive = np.arange(gains.shape[0])
+    order = []
+    while alive.size:
+        # rescored on the alive set each step: downdating the previous scores
+        # drifts enough to flip near-tied picks
+        sub = cross[np.ix_(alive, alive)]
+        injected = own_min[alive] * (sub @ tolerance[alive])
+        absorbed = tolerance[alive] * (sub.T @ own_min[alive])
+        worst = int(np.argmax(np.maximum(injected, absorbed)))
+        order.append(int(alive[worst]))
+        alive = np.delete(alive, worst)
+    return order
+
+
 def check_and_remove(
     links,
     gain_matrix,
@@ -281,40 +320,44 @@ def check_and_remove(
 ) -> RemovalOutcome:
     """Drop links until the minimum-power vector fits the power box.
 
-    While the solve fails or violates 0 <= p' <= pmax, the link whose
-    minimum-power operation either injects or absorbs the largest relative
-    interference is removed together with its transmitter.
+    Links leave in :func:`removal_order`; the kept set is the shortest
+    prefix of removals after which the solve succeeds with 0 <= p' <= pmax.
+    The full set is solved first and, only if it fails, the prefix is found
+    by bisection.  Feasibility can only switch on along the order: a subset
+    of a feasible set has an elementwise smaller minimum-power vector
+    (Perron-Frobenius), so at most 1 + ceil(log2 n) solves are made.
     """
-    kept = list(links)
-    n = len(kept)
-    gains = np.asarray(gain_matrix, dtype=float).copy()
-    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,)).copy()
-    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,)).copy()
-    pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,)).copy()
+    n = len(links)
+    gains = np.asarray(gain_matrix, dtype=float)
+    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
+    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
+    pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,))
 
-    iterations = 0
-    while True:
-        powers = min_power_vector(gains, noise, targets)
-        if powers is not None and np.all(powers >= 0.0) and np.all(
-            powers <= pmax * (1.0 + TOL.power_feasibility_rel)
-        ):
-            return RemovalOutcome(kept, gains, targets, powers, iterations)
+    def admit(alive):
+        sub = gains[np.ix_(alive, alive)]
+        powers = min_power_vector(sub, noise[alive], targets[alive])
+        feasible = powers is not None and bool(
+            np.all(powers >= 0.0)
+            and np.all(powers <= pmax[alive] * (1.0 + TOL.power_feasibility_rel))
+        )
+        kept = [links[i] for i in alive]
+        return feasible, RemovalOutcome(kept, sub, targets[alive], powers, n - len(alive))
 
-        own_min = noise * targets / np.diag(gains)  # minimum power of each link
-        tolerance = targets / pmax                  # interference sensitivity
-        cross = gains.copy()
-        np.fill_diagonal(cross, 0.0)
-        injected = own_min * (cross @ tolerance)
-        absorbed = tolerance * (cross.T @ own_min)
-        worst = int(np.argmax(np.maximum(injected, absorbed)))
-
-        kept.pop(worst)
-        keep_idx = [v for v in range(gains.shape[0]) if v != worst]
-        gains = gains[np.ix_(keep_idx, keep_idx)]
-        noise = noise[keep_idx]
-        targets = targets[keep_idx]
-        pmax = pmax[keep_idx]
-        iterations += 1
+    feasible, outcome = admit(np.arange(n))
+    if feasible:
+        return outcome
+    order = removal_order(gains, noise, targets, pmax)
+    # prefix lengths: lo is known infeasible, hi feasible (all removed)
+    lo, hi = 0, n
+    _, outcome = admit(np.arange(0))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        feasible, trial = admit(np.sort(order[mid:]))
+        if feasible:
+            hi, outcome = mid, trial
+        else:
+            lo = mid
+    return outcome
 
 
 @dataclass

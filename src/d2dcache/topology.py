@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,20 +48,21 @@ class Topology:
 
     ``channels[i, j]`` is the coefficient seen when user i transmits to user j;
     the diagonal is unused (zeroed).  ``channels[i, j]`` and ``channels[j, i]``
-    are drawn independently.
+    are drawn independently.  ``power_gains`` is ``|channels|**2``, computed
+    once here so every scheduler reads the same linear power gains.
     """
 
     positions: np.ndarray  # (K, 2) metres
     distances: np.ndarray  # (K, K) metres, symmetric, zero diagonal
     channels: np.ndarray   # (K, K) complex linear amplitudes
+    power_gains: np.ndarray = field(init=False, repr=False)  # (K, K) linear
+
+    def __post_init__(self) -> None:
+        self.power_gains = np.abs(self.channels) ** 2
 
     @property
     def num_users(self) -> int:
         return self.positions.shape[0]
-
-    def gain(self, tx: int, rx: int) -> float:
-        """Linear power gain of the tx -> rx channel."""
-        return float(np.abs(self.channels[tx, rx]) ** 2)
 
 
 def place_users(geometry: SimGeometry, rng: np.random.Generator) -> np.ndarray:

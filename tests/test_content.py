@@ -159,6 +159,42 @@ def test_classify_coop_group_requester_is_d2d_regardless_of_range():
     assert classes[0] == CLASS_D2D
 
 
+def classify_loop(cache, request, distances, d2d_radius_m, coop_group=None):
+    """Reference classification, one user at a time."""
+    groups = request.argmax(axis=1)
+    classes = []
+    for k in range(cache.shape[0]):
+        g = int(groups[k])
+        if request[k].sum() == 0:
+            classes.append(CLASS_IDLE)
+        elif cache[k, g] == 1:
+            classes.append(CLASS_SELF_SATISFIED)
+        else:
+            cachers = np.flatnonzero(cache[:, g])
+            if coop_group is not None and g == coop_group and cachers.size > 0:
+                classes.append(CLASS_D2D)
+            elif np.any(distances[k, cachers] < d2d_radius_m):
+                classes.append(CLASS_D2D)
+            else:
+                classes.append(CLASS_CELLULAR)
+    return classes
+
+
+def test_classify_matches_per_user_loop():
+    rng = np.random.default_rng(9)
+    catalog = Catalog(num_files=60, cache_size=5, num_popular=30, zipf_beta=0.8)
+    for trial in range(300):
+        k = int(rng.integers(2, 40))
+        cache = place_caches(k, catalog, rng)
+        request, _ = draw_requests(k, catalog, rng)
+        positions = rng.uniform(0, 100, (k, 2))
+        distances = np.sqrt(((positions[:, None] - positions[None]) ** 2).sum(-1))
+        coop = None if trial % 3 == 0 else int(rng.integers(0, catalog.num_groups))
+        radius = float(rng.uniform(5.0, 60.0))
+        expected = classify_loop(cache, request, distances, radius, coop)
+        assert classify_users(cache, request, distances, radius, coop) == expected
+
+
 def test_select_coop_group_examples():
     assert select_coop_group([[1, 2, 3], [1] * 7, [1, 2]]) == 1
     assert select_coop_group([[0] * 5, [0] * 5, [0]]) == 0  # tie -> lowest index

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from d2dcache import harness, ndl
+from d2dcache import harness, ndl, numerics
 from d2dcache.content import ContentState, derive_group_sets
 from d2dcache.ndl import (
+    NdlCandidates,
     NdlConfig,
+    RemovalOutcome,
     build_candidates,
     check_and_remove,
     dc_power_allocation,
@@ -14,11 +16,9 @@ from d2dcache.ndl import (
     min_power_vector,
     ndl_rates,
     nt_nr_decision,
-    receive_cost,
     schedule_ndl,
     select_links,
     sinrs,
-    transmit_cost,
 )
 from d2dcache.numerics import TOL
 from d2dcache.topology import SimGeometry, Topology, build_topology
@@ -36,6 +36,11 @@ def topology_with(channels, positions=None):
     diff = positions[:, None, :] - positions[None, :, :]
     distances = np.sqrt((diff**2).sum(axis=-1))
     return Topology(positions=positions, distances=distances, channels=channels)
+
+
+def pair_gain(topo, tx, rx):
+    """Power gain of one channel entry, computed on its own."""
+    return abs(topo.channels[tx, rx]) ** 2
 
 
 def topology_with_gains(gains, positions=None):
@@ -145,11 +150,19 @@ def ambiguous_setup(gain_uv, gain_vu, cross=1e-14):
 
 
 def test_costs_degenerate_cases():
-    topo, content = ambiguous_setup(1e-9, 1e-9)
-    cands = build_candidates(topo, content, 30.0)
-    empty = type(cands)({})
-    assert math.isinf(transmit_cost(0, empty, topo, NOISE, GAMMA))
-    assert math.isinf(receive_cost(0, empty, topo, NOISE, GAMMA))
+    topo, _ = ambiguous_setup(1e-9, 1e-9)
+    resolved, outcome = nt_nr_decision(NdlCandidates({}), topo, NOISE, GAMMA)
+    assert resolved.suppliers == {}
+    assert outcome.roles == outcome.alpha == outcome.beta == {}
+    # user 0 supplies user 1 but has no supplier of its own: the receive cost
+    # is infinite, so the transmitter role wins
+    cands = NdlCandidates({0: [], 1: [0]})
+    assert cands.ambiguous == [0]
+    resolved, outcome = nt_nr_decision(cands, topo, NOISE, GAMMA)
+    assert math.isinf(outcome.beta[0])
+    assert math.isfinite(outcome.alpha[0])
+    assert outcome.roles == {0: "transmitter"}
+    assert resolved.suppliers == {1: [0]}
 
 
 def test_tie_resolves_to_receiver():
@@ -209,7 +222,29 @@ def test_cheap_receiver_role_wins():
     assert all(0 not in txs for txs in resolved.suppliers.values())
 
 
-def test_costs_match_independent_recomputation():
+def assert_costs_match_pairwise(cands, topo, noise, gamma):
+    """Both role costs of every ambiguous user against per-pair sums."""
+    _, outcome = nt_nr_decision(cands, topo, noise, gamma)
+    receivers = cands.receivers
+    assert sorted(outcome.roles) == cands.ambiguous
+    for u in cands.ambiguous:
+        served = [j for j in receivers if u in cands.suppliers[j]]
+        v = max(served, key=lambda j: (pair_gain(topo, u, j), -j))
+        alpha = (
+            noise * gamma / pair_gain(topo, u, v)
+            * sum(pair_gain(topo, u, w) for w in receivers if w not in (u, v))
+        )
+        tau = max(cands.suppliers[u], key=lambda i: (pair_gain(topo, i, u), -i))
+        beta = (
+            noise * gamma / pair_gain(topo, tau, u)
+            * sum(pair_gain(topo, tau, w) for w in receivers if w not in (u, tau))
+        )
+        assert outcome.alpha[u] == pytest.approx(alpha, rel=1e-12)
+        assert outcome.beta[u] == pytest.approx(beta, rel=1e-12)
+    return len(cands.ambiguous)
+
+
+def test_costs_match_independent_recomputation(monkeypatch):
     rng = np.random.default_rng(1)
     for _ in range(10):
         k = 8
@@ -226,22 +261,24 @@ def test_costs_match_independent_recomputation():
                 request[u, g] = 1
         content = content_from(cache, request)
         cands = build_candidates(topo, content, 60.0)
-        _, outcome = nt_nr_decision(cands, topo, NOISE, GAMMA)
-        receivers = cands.receivers
-        for u in cands.ambiguous:
-            served = [j for j in receivers if u in cands.suppliers[j]]
-            v = max(served, key=lambda j: (topo.gain(u, j), -j))
-            alpha = (
-                NOISE * GAMMA / topo.gain(u, v)
-                * sum(topo.gain(u, w) for w in receivers if w not in (u, v))
-            )
-            tau = max(cands.suppliers[u], key=lambda i: (topo.gain(i, u), -i))
-            beta = (
-                NOISE * GAMMA / topo.gain(tau, u)
-                * sum(topo.gain(tau, w) for w in receivers if w not in (u, tau))
-            )
-            assert outcome.alpha[u] == pytest.approx(alpha, rel=1e-12)
-            assert outcome.beta[u] == pytest.approx(beta, rel=1e-12)
+        assert_costs_match_pairwise(cands, topo, NOISE, GAMMA)
+
+    # the role resolution of K=100 pipeline drops
+    decide = ndl.nt_nr_decision
+    calls = []
+
+    def recording(candidates, topology, noise_w, sinr_target):
+        calls.append((candidates, topology, noise_w, sinr_target))
+        return decide(candidates, topology, noise_w, sinr_target)
+
+    monkeypatch.setattr(ndl, "nt_nr_decision", recording)
+    config = harness.SimConfig()
+    for seed in range(1, 11):
+        harness.run_drop(config, seed, num_users=100, beta=0.6, mode="nocoop")
+    monkeypatch.undo()
+    assert len(calls) == 10
+    checked = sum(assert_costs_match_pairwise(*call) for call in calls)
+    assert checked > 100
 
 
 def test_phase_one_preserves_non_ambiguous_candidates():
@@ -476,6 +513,103 @@ def test_removal_matches_pairwise_loop():
     assert fired > 100
 
 
+def linear_removal(links, gain_matrix, noise_w, sinr_targets, pmax_w):
+    """Reference removal: solve, and while infeasible drop the worst-scored
+    link and solve again, one link at a time."""
+    kept = list(links)
+    n = len(kept)
+    gains = np.asarray(gain_matrix, dtype=float).copy()
+    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,)).copy()
+    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,)).copy()
+    pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,)).copy()
+    iterations = 0
+    while True:
+        powers = min_power_vector(gains, noise, targets)
+        if powers is not None and np.all(powers >= 0.0) and np.all(
+            powers <= pmax * (1.0 + TOL.power_feasibility_rel)
+        ):
+            return RemovalOutcome(kept, gains, targets, powers, iterations)
+        own_min = noise * targets / np.diag(gains)
+        tolerance = targets / pmax
+        cross = gains.copy()
+        np.fill_diagonal(cross, 0.0)
+        injected = own_min * (cross @ tolerance)
+        absorbed = tolerance * (cross.T @ own_min)
+        worst = int(np.argmax(np.maximum(injected, absorbed)))
+        kept.pop(worst)
+        keep_idx = [v for v in range(gains.shape[0]) if v != worst]
+        gains = gains[np.ix_(keep_idx, keep_idx)]
+        noise = noise[keep_idx]
+        targets = targets[keep_idx]
+        pmax = pmax[keep_idx]
+        iterations += 1
+
+
+def removal_instance(rng, kind):
+    """Random admission problem with up to 30 links.
+
+    kind 0: weak coupling, mostly feasible as a whole; 1: heavy coupling,
+    partial removal; 2: every link infeasible even alone; 3: targets scaled
+    to put the full system within 1e-13..1e-8 of singular.
+    """
+    n = int(rng.integers(1, 31))
+    scale = 10.0 ** rng.uniform(-13, -10) if kind == 0 else 10.0 ** rng.uniform(-11, -9)
+    gains = rng.uniform(0.05, 1.0, (n, n)) * scale
+    gains[np.arange(n), np.arange(n)] = rng.uniform(0.5, 3.0, n) * 1e-9
+    targets = rng.uniform(1.0, 15.0, n)
+    if kind == 2:
+        targets = PMAX * np.diag(gains) / NOISE * rng.uniform(1.5, 4.0, n)
+    elif kind == 3 and n > 1:
+        coupling = gains.T / np.diag(gains)[:, None]
+        np.fill_diagonal(coupling, 0.0)
+        rho = np.max(np.abs(np.linalg.eigvals(coupling)))
+        targets = np.full(n, (1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-13, -8)) / rho)
+    links = [(i, n + i) for i in range(n)]
+    return links, gains, targets
+
+
+def test_removal_bisection_matches_linear_loop():
+    rng = np.random.default_rng(12)
+    seen = {"feasible": 0, "partial": 0, "all_removed": 0, "singular_start": 0}
+    for trial in range(3000):
+        links, gains, targets = removal_instance(rng, trial % 4)
+        n = len(links)
+        ours = check_and_remove(links, gains, NOISE, targets, PMAX)
+        ref = linear_removal(links, gains, NOISE, targets, PMAX)
+        assert ours.kept == ref.kept
+        assert ours.iterations == ref.iterations
+        assert ours.gain_matrix.tobytes() == ref.gain_matrix.tobytes()
+        assert ours.gain_matrix.shape == ref.gain_matrix.shape
+        assert ours.sinr_targets.tobytes() == ref.sinr_targets.tobytes()
+        assert ours.min_powers_w.tobytes() == ref.min_powers_w.tobytes()
+        if ref.iterations == 0:
+            seen["feasible"] += 1
+        elif ref.kept:
+            seen["partial"] += 1
+        else:
+            seen["all_removed"] += 1
+        seen["singular_start"] += min_power_vector(gains, NOISE, targets) is None
+    assert min(seen.values()) >= 100, seen
+
+
+def test_removal_solve_count_is_logarithmic(monkeypatch):
+    solve = numerics.solve_linear
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(numerics, "solve_linear", counting)
+    rng = np.random.default_rng(13)
+    for trial in range(400):
+        links, gains, targets = removal_instance(rng, trial % 4)
+        n = len(links)
+        calls.clear()
+        out = check_and_remove(links, gains, NOISE, targets, PMAX)
+        assert len(calls) <= 1 + math.ceil(math.log2(n)), (n, out.iterations, calls)
+
+
 # --- rates and max-min power allocation ------------------------------------------------
 
 
@@ -656,7 +790,8 @@ def test_link_gain_matrix_orientation():
     gains = link_gain_matrix(links, topo)
     for i, (tx, _) in enumerate(links):
         for j, (_, rx) in enumerate(links):
-            assert gains[i, j] == topo.gain(tx, rx)
+            assert gains[i, j] == topo.power_gains[tx, rx]
+            assert gains[i, j] == pytest.approx(pair_gain(topo, tx, rx), rel=1e-15)
 
 
 def test_config_validation():

@@ -5,6 +5,7 @@ from d2dcache.topology import (
     InvalidDistanceError,
     MIN_PAIR_DISTANCE_M,
     SimGeometry,
+    Topology,
     build_topology,
     dbm_to_watt,
     draw_channel,
@@ -123,6 +124,12 @@ def test_dbm_to_watt():
 
 
 def test_topology_gain_matches_channel_entry():
-    geom = SimGeometry(num_users=4)
+    geom = SimGeometry(num_users=40)
     topo = build_topology(geom, np.random.default_rng(2))
-    assert topo.gain(0, 3) == pytest.approx(abs(topo.channels[0, 3]) ** 2)
+    expected = np.abs(topo.channels) ** 2
+    assert topo.power_gains.dtype == expected.dtype
+    assert topo.power_gains.tobytes() == expected.tobytes()
+    assert topo.power_gains[0, 3] == pytest.approx(abs(topo.channels[0, 3]) ** 2)
+    # hand-built topologies get the same matrix
+    hand = Topology(topo.positions, topo.distances, topo.channels)
+    assert hand.power_gains.tobytes() == expected.tobytes()
