@@ -74,82 +74,140 @@ class CdlPowerResult:
 # Duality gap, in bit/s/Hz of sum rate, at which a power allocation is
 # certified optimal.
 GAP_TOL = 1e-10
-# Guards on interior-point work: Newton steps per solve and step halvings per
+# Guards on the dual Newton method: steps per solve and step halvings per
 # line search.  A solve either guard stops reports converged=False.
 MAX_NEWTON_STEPS = 100
 BACKTRACK_HALVINGS = 50
+# A primal point is recovered by shrinking the water levels uniformly into
+# the budgets; it is accepted only when the shrink factor is at least
+# 1 - SHRINK_TOL, so that stationarity holds to that relative accuracy.
+SHRINK_TOL = 1e-10
+# Share of the predicted decrease of the dual a line-search step must achieve.
+ARMIJO = 1e-4
+
+
+def _sum_rate(a, x) -> float:
+    """Objective of the :func:`_dual` problem, in bit/s/Hz."""
+    return float(np.log1p(x / a).sum()) / LN2
+
+
+def _dual(a, wsq, budgets, lam):
+    """Lagrange dual function of
+
+        maximize sum_n log2(1 + x_n / a_n)  s.t.  wsq @ x <= budgets, x >= 0
+
+    at ``lam``: per-stream waterfilling at the prices ``wsq^T lam``.  Returns
+    ``(value, level, price)``; the value is inf when a stream is unpriced.
+    """
+    price = wsq.T @ lam
+    if not (price > 0).all():
+        return math.inf, None, price
+    level = np.maximum(1.0 / (LN2 * price) - a, 0.0)
+    value = (np.log1p(level / a) / LN2 - price * level).sum() + lam @ budgets
+    return float(value), level, price
 
 
 def _duality_gap(a, wsq, budgets, x, lam) -> float:
-    """Lagrange dual bound at ``lam`` minus the objective at ``x`` for
-
-        maximize sum_n log2(1 + x_n / a_n)  s.t.  wsq @ x <= budgets, x >= 0.
-
-    The dual function is closed-form waterfilling at the per-stream prices
-    wsq^T lam, so for a feasible ``x`` the gap bounds its distance to the
-    optimum from above (weak duality); a stream left unpriced bounds nothing.
+    """Dual bound at ``lam`` minus the objective at ``x`` for the
+    :func:`_dual` problem.  For a feasible ``x`` the gap bounds its distance
+    to the optimum from above (weak duality); a stream left unpriced bounds
+    nothing.
     """
-    price = wsq.T @ lam
-    if not np.all(price > 0):
-        return math.inf
-    level = np.maximum(1.0 / (LN2 * price) - a, 0.0)
-    bound = np.sum(np.log2(1.0 + level / a) - price * level) + lam @ budgets
-    return float(bound - np.sum(np.log2(1.0 + x / a)))
+    return _dual(a, wsq, budgets, lam)[0] - _sum_rate(a, x)
 
 
-def _interior_point(a, wsq, budgets):
-    """Primal-dual interior-point solve of the :func:`_duality_gap` problem
-    (Boyd & Vandenberghe, Algorithm 11.2) for positive ``budgets``.
+def _start_prices(a, wsq):
+    """Dual starting point for unit budgets.  With as many CTs as streams,
+    the vertex where every budget binds, x = wsq^-1 1, priced by stationarity
+    wsq^T lam = 1 / (ln2 (a + x)); it is optimal whenever those prices come
+    out positive.  Otherwise one uniform price, low enough that every stream
+    gets at least the water its tightest budget would allow it alone.
+    """
+    num_rows, num_vars = wsq.shape
+    if num_rows == num_vars:
+        try:
+            inverse = np.linalg.inv(wsq)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            lam = inverse.T @ (1.0 / (LN2 * (a + inverse.sum(axis=1))))
+            if np.all(lam > 0):
+                return lam
+    alone = 1.0 / np.max(wsq, axis=0)
+    return np.full(num_rows, np.min(1.0 / (LN2 * wsq.sum(axis=0) * (a + alone))))
 
-    Starts strictly feasible and stops as soon as the dual bound certifies
-    ``GAP_TOL`` or a guard trips.  Returns ``(x, lam, newton_steps)``.
+
+def _dual_newton(a, wsq, budgets):
+    """Solve the :func:`_dual` problem for positive ``budgets`` by projected
+    Newton on its dual (Bertsekas, SIAM J. Control Optim. 1982).
+
+    Each budget row is first divided by its budget, so every price is the
+    value of a whole budget and every gradient entry a relative load.  The
+    dual Hessian wsq diag(1 / (ln2 price^2)) wsq^T over the streams with
+    water has rank at most the stream count, so its diagonal is damped by
+    the squared projected-gradient norm r (capped at 1), and so is the free
+    block when it is singular.  Each step scales the gradient by that
+    diagonal, takes the epsilon-active set (prices the scaled gradient
+    pushes down and that lie within the norm of its projected step of 0),
+    moves them along the scaled gradient and the other prices along
+    Newton's direction, and makes an Armijo search along the projection onto
+    lam >= 0.  The primal point is the water levels shrunk uniformly into
+    the budgets; the solve stops as soon as that shrink is within
+    ``SHRINK_TOL`` of 1 and the duality gap is at most ``GAP_TOL``, or a
+    guard trips.  Returns ``(x, lam, newton_steps)``.
     """
     num_rows, num_vars = wsq.shape
     if num_vars == 0:
         return np.zeros(0), np.zeros(num_rows), 0
-    with np.errstate(divide="ignore"):
-        x = np.full(num_vars, 0.5 * np.min(budgets / wsq.sum(axis=1)))
-    lam = 1.0 / (budgets - wsq @ x)
-    nu = 1.0 / x   # multipliers of x >= 0
-
-    def residual(x, lam, nu, t):
-        stationarity = wsq.T @ lam - nu - 1.0 / (LN2 * (a + x))
-        centering = np.concatenate([lam * (budgets - wsq @ x), nu * x]) - 1.0 / t
-        return np.linalg.norm(np.concatenate([stationarity, centering]))
-
+    wsq = wsq / budgets[:, None]
+    ones = np.ones(num_rows)
+    lam = _start_prices(a, wsq)
+    value, level, price = _dual(a, wsq, ones, lam)
     steps = 0
-    while steps < MAX_NEWTON_STEPS and _duality_gap(a, wsq, budgets, x, lam) > GAP_TOL:
-        slack = budgets - wsq @ x
-        # centering target ten times tighter than the surrogate duality gap
-        t = 10.0 * (num_rows + num_vars) / (lam @ slack + nu @ x)
-        grad = 1.0 / (LN2 * (a + x))
-        hess = np.diag(LN2 * grad**2 + nu / x) + wsq.T @ ((lam / slack)[:, None] * wsq)
-        dx = np.linalg.solve(hess, grad - (wsq.T @ (1.0 / slack) - 1.0 / x) / t)
-        dlam = lam * (wsq @ dx) / slack - lam + 1.0 / (t * slack)
-        dnu = -nu * dx / x - nu + 1.0 / (t * x)
-
-        # Longest step keeping the multipliers positive, then backtrack into
-        # strict primal feasibility and a sufficient residual decrease.
-        duals = np.concatenate([lam, nu])
-        moves = np.concatenate([dlam, dnu])
-        falling = moves < 0
-        size = 0.99 * np.min(-duals[falling] / moves[falling], initial=1.0)
-        start = residual(x, lam, nu, t)
+    while True:
+        load = wsq @ level
+        shrink = 1.0 / max(1.0, float(load.max()))
+        x = shrink * level
+        gap = value - _sum_rate(a, x)
+        if (shrink >= 1.0 - SHRINK_TOL and gap <= GAP_TOL) or steps == MAX_NEWTON_STEPS:
+            break
+        grad = 1.0 - load
+        projected = lam - np.maximum(lam - grad, 0.0)
+        residual = math.sqrt(projected @ projected)
+        curvature = np.where(level > 0, 1.0 / (LN2 * price * price), 0.0)
+        hess = (wsq * curvature) @ wsq.T
+        ridge = 1e-12 * hess.trace()
+        step = grad / (hess.diagonal() + ridge + min(residual, 1.0) ** 2)
+        projected = lam - np.maximum(lam - step, 0.0)
+        active = (lam <= math.sqrt(projected @ projected)) & (grad > 0)
+        free = ~active
+        if active.any():
+            hess = hess[free][:, free]
+        diagonal = hess.diagonal()
+        # more free prices than streams with water, or a free price on dry
+        # streams only: the free block is singular, so damp it
+        singular = diagonal.size > np.count_nonzero(level) or not (diagonal > 0).all()
+        hess.flat[:: diagonal.size + 1] = (
+            diagonal + ridge + (min(residual, 1.0) ** 2 if singular else 0.0)
+        )
+        direction = -step
+        direction[free] = np.linalg.solve(hess, -grad[free])
+        # Armijo decrease along the projected path, up to roundoff in D
+        predicted_free = -grad[free] @ direction[free]
+        slack = 8.0 * np.spacing(abs(value))
+        size = 1.0
         for _ in range(BACKTRACK_HALVINGS):
-            trial = x + size * dx
-            if (
-                np.all(trial > 0)
-                and np.all(wsq @ trial < budgets)
-                and residual(trial, lam + size * dlam, nu + size * dnu, t)
-                <= (1.0 - 0.01 * size) * start
-            ):
+            trial = np.maximum(lam + size * direction, 0.0)
+            trial_value, trial_level, trial_price = _dual(a, wsq, ones, trial)
+            predicted = size * predicted_free + grad[active] @ (lam[active] - trial[active])
+            if value - trial_value >= ARMIJO * predicted - slack:
                 break
             size *= 0.5
         else:
             break   # rounding stalls the method
-        x, lam, nu = trial, lam + size * dlam, nu + size * dnu
+        lam, value, level, price = trial, trial_value, trial_level, trial_price
         steps += 1
-    return x, lam, steps
+    return x, lam / budgets, steps
 
 
 def qos_floor_powers(
@@ -168,11 +226,17 @@ def qos_floor_powers(
     positive effective gain and these powers fit every CT budget within
     ``TOL.power_feasibility_rel``.
     """
-    gains = effective_gains(channel_matrix, w_bar)
+    return _floor_powers(
+        effective_gains(channel_matrix, w_bar), np.abs(w_bar) ** 2, pmax_w, noise_w, sinr_targets
+    )
+
+
+def _floor_powers(gains, wsq, pmax_w, noise_w, sinr_targets):
+    """:func:`qos_floor_powers` from the effective gains and ``|w_bar|^2``."""
     if np.any(gains <= 0):
         return None
     p_min = sinr_targets * noise_w / gains
-    if np.any(np.abs(w_bar) ** 2 @ p_min > pmax_w * (1.0 + TOL.power_feasibility_rel)):
+    if np.any(wsq @ p_min > pmax_w * (1.0 + TOL.power_feasibility_rel)):
         return None
     return p_min
 
@@ -189,51 +253,50 @@ def allocate_cdl_power(
 
     The deterministic pre-check :func:`qos_floor_powers` decides feasibility.
     The remaining concave program (maximize sum log2(1 + g_n p_n / sigma)
-    s.t. W p <= Pmax, p >= p_min) is solved by a primal-dual interior-point
-    method.  ``converged`` is its certificate: the
+    s.t. W p <= Pmax, p >= p_min) is solved by projected Newton on its
+    Lagrange dual, started where every budget binds when that point is
+    optimal.  ``converged`` is the certificate: the
     Lagrange dual bound at the returned ``lambda_tx`` exceeds the returned
     objective by at most ``GAP_TOL`` bit/s/Hz.  ``mu_rx`` are the QoS
     multipliers in rate form, from stationarity
     ``(1 + mu_n) / (ln2 (sigma / g_n + p_n)) = (W^T lambda)_n``, and
-    ``iterations`` counts Newton steps.
+    ``iterations`` counts dual Newton steps.
     """
     num_tx, num_rx = channel_matrix.shape
-    pmax_w = np.broadcast_to(np.asarray(pmax_w, dtype=float), (num_tx,)).copy()
-    noise_w = np.broadcast_to(np.asarray(noise_w, dtype=float), (num_rx,)).copy()
-    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (num_rx,)).copy()
+    pmax_w = np.full(num_tx, pmax_w, dtype=float)
+    noise_w = np.full(num_rx, noise_w, dtype=float)
+    targets = np.full(num_rx, sinr_targets, dtype=float)
     if num_rx == 0:
         return CdlPowerResult(np.zeros(0), np.zeros(num_tx), np.zeros(0), 0, True)
 
-    p_min = qos_floor_powers(
-        channel_matrix, w_bar, pmax_w=pmax_w, noise_w=noise_w, sinr_targets=targets
-    )
+    wsq = np.abs(w_bar) ** 2                        # (M, N)
+    gains = effective_gains(channel_matrix, w_bar)  # (N,)
+    p_min = _floor_powers(gains, wsq, pmax_w, noise_w, targets)
     if p_min is None:
         return None
-    wsq = np.abs(w_bar) ** 2                      # (M, N)
-    gains = effective_gains(channel_matrix, w_bar)  # (N,)
 
     # Solve for the excess x = p - p_min in units of the largest budget.  A CT
     # whose floors leave it no headroom (the pre-check admits a small
     # overshoot) pins every stream it carries at the floor.
-    scale = float(np.max(pmax_w))
+    scale = float(pmax_w.max())
     a = (noise_w / gains + p_min) / scale
     headroom = (pmax_w - wsq @ p_min) / scale
     spent = headroom <= 0
     budgets = np.maximum(headroom, 0.0)
-    free = ~np.any(wsq[spent] > 0, axis=0)
+    live = ~spent
+    free = ~(wsq[spent] > 0).any(axis=0)
     x = np.zeros(num_rx)
     lam = np.zeros(num_tx)
-    x[free], lam[~spent], steps = _interior_point(
-        a[free], wsq[np.ix_(~spent, free)], budgets[~spent]
-    )
-    # Spent CTs price each pinned stream up to its marginal rate at x = 0.
-    pinned = ~free
-    shortfall = 1.0 / (LN2 * a[pinned]) - wsq[np.ix_(~spent, pinned)].T @ lam[~spent]
-    carried = wsq[np.ix_(spent, pinned)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam[spent] = np.max(
-            np.where(carried > 0, shortfall / carried, 0.0), axis=1, initial=0.0
-        )
+    x[free], lam[live], steps = _dual_newton(a[free], wsq[live][:, free], budgets[live])
+    if spent.any():
+        # Spent CTs price each pinned stream up to its marginal rate at x = 0.
+        pinned = ~free
+        shortfall = 1.0 / (LN2 * a[pinned]) - wsq[live][:, pinned].T @ lam[live]
+        carried = wsq[spent][:, pinned]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam[spent] = np.max(
+                np.where(carried > 0, shortfall / carried, 0.0), axis=1, initial=0.0
+            )
     converged = _duality_gap(a, wsq, budgets, x, lam) <= GAP_TOL
 
     powers = p_min + scale * x

@@ -96,8 +96,9 @@ def draw_channel(distance_m, rng: np.random.Generator, size=None):
 def build_topology(geometry: SimGeometry, rng: np.random.Generator) -> Topology:
     """Generate positions and the full K x K channel matrix for one drop."""
     positions = place_users(geometry, rng)
-    diff = positions[:, None, :] - positions[None, :, :]
-    distances = np.sqrt(np.sum(diff**2, axis=-1))
+    dx = positions[:, None, 0] - positions[None, :, 0]
+    dy = positions[:, None, 1] - positions[None, :, 1]
+    distances = np.sqrt(dx * dx + dy * dy)
     off_diag = ~np.eye(geometry.num_users, dtype=bool)
     distances[off_diag] = np.maximum(distances[off_diag], MIN_PAIR_DISTANCE_M)
 
