@@ -8,7 +8,6 @@ from .harness import (
     DropResult,
     SimConfig,
     run_drop,
-    run_nocoop_drop,
     run_sweep,
     simulate_drop,
     write_results,
@@ -33,7 +32,6 @@ __all__ = [
     "build_topology",
     "dc_power_allocation",
     "run_drop",
-    "run_nocoop_drop",
     "run_sweep",
     "schedule_cdl",
     "schedule_ndl",

@@ -47,27 +47,12 @@ class Catalog:
         if self.zipf_beta < 0:
             raise ValueError("zipf_beta must be >= 0")
 
-    def group_of_file(self, file_rank: int) -> int:
-        """Group holding ``file_rank``, or -1 for files beyond the popular set."""
-        if file_rank > self.num_popular:
-            return -1
-        return (file_rank - 1) // self.cache_size
-
 
 def file_request_probs(catalog: Catalog) -> np.ndarray:
     """Zipf probability of each file rank 1..num_files."""
     ranks = np.arange(1, catalog.num_files + 1, dtype=float)
     weights = ranks ** (-catalog.zipf_beta)
     return weights / weights.sum()
-
-
-def zipf_group_prob(group: int, catalog: Catalog) -> float:
-    """Probability that one request falls inside the given (0-based) group."""
-    if not 0 <= group < catalog.num_groups:
-        raise ValueError(f"group must be in [0, {catalog.num_groups}), got {group}")
-    probs = file_request_probs(catalog)
-    lo = group * catalog.cache_size
-    return float(probs[lo : lo + catalog.cache_size].sum())
 
 
 def place_caches(num_users: int, catalog: Catalog, rng: np.random.Generator) -> np.ndarray:

@@ -41,6 +41,14 @@ CSV_COLUMNS = ("beta", "K", "mode", "drops") + tuple(
 )
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass
 class SimConfig:
     """Full experiment description; scalar cell fields drive single runs,
@@ -74,6 +82,20 @@ class SimConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_real(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+        if not isinstance(self.user_counts, list) or not all(
+            map(_is_integer, self.user_counts)
+        ):
+            raise ValueError(
+                f"user_counts must be a list of integers, got {self.user_counts!r}"
+            )
+        if not isinstance(self.betas, list) or not all(map(_is_real, self.betas)):
+            raise ValueError(f"betas must be a list of numbers, got {self.betas!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.drops < 1:
@@ -82,8 +104,11 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
         if not self.betas or not self.user_counts:
             raise ValueError("betas and user_counts must be non-empty")
-        self.geometry().validate()
-        self.catalog().validate()
+        # every sweep cell is checked before the first one runs
+        for num_users in (self.num_users, *self.user_counts):
+            self.geometry(num_users).validate()
+        for beta in (self.zipf_beta, *self.betas):
+            self.catalog(beta).validate()
         self.cdl_config().validate()
         self.ndl_config().validate()
 
@@ -249,12 +274,6 @@ def simulate_drop(
 def run_drop(config: SimConfig, seed: int, **cell) -> DropMetrics:
     """Metrics of one cooperative-mode drop (or the configured mode)."""
     return simulate_drop(config, seed, **cell).metrics
-
-
-def run_nocoop_drop(config: SimConfig, seed: int, **cell) -> DropMetrics:
-    """Baseline drop: every group runs the NDL pipeline over the whole band."""
-    cell.pop("mode", None)
-    return simulate_drop(config, seed, mode="nocoop", **cell).metrics
 
 
 def aggregate_metrics(metrics_list) -> dict:

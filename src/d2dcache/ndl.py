@@ -1,12 +1,12 @@
-"""Non-cooperative D2D link pipeline: candidate sets, transmitter/receiver role
-resolution, link selection by matching, admission via the minimum-power solve,
-interference-driven link removal and exact max-min SINR power allocation."""
+"""Non-cooperative D2D link pipeline: the candidate supply mask,
+transmitter/receiver role resolution, link selection by matching, admission
+via the minimum-power solve, interference-driven link removal and exact
+max-min SINR power allocation."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,9 +14,6 @@ from . import numerics
 from .numerics import TOL, BipartiteGraph, SingularSystemError
 from .content import ContentState
 from .topology import Topology, dbm_to_watt
-
-ROLE_TRANSMITTER = "transmitter"
-ROLE_RECEIVER = "receiver"
 
 WEIGHT_MODES = ("reciprocal", "gain")
 
@@ -52,150 +49,99 @@ class NdlConfig:
             raise ValueError("rmin_bps_per_hz must be > 0")
 
 
-@dataclass
-class NdlCandidates:
-    """Potential receivers and their in-range suppliers.
-
-    ``suppliers[j]`` lists the cachers of j's requested group within the D2D
-    radius; construction only admits j with a non-empty list, though role
-    resolution may later empty it, after which j contributes no edges.
-    """
-
-    suppliers: dict = field(default_factory=dict)
-
-    @property
-    def receivers(self) -> list[int]:
-        return sorted(self.suppliers)
-
-    @property
-    def transmitters(self) -> list[int]:
-        return sorted({k for txs in self.suppliers.values() for k in txs})
-
-    @property
-    def ambiguous(self) -> list[int]:
-        tx = set(self.transmitters)
-        return [u for u in self.receivers if u in tx]
-
-
 def build_candidates(
     topology: Topology,
     content: ContentState,
     radius_m: float,
     excluded=frozenset(),
-) -> NdlCandidates:
-    """Candidate sets over the non-cooperative groups, skipping excluded users."""
+) -> np.ndarray:
+    """Supply mask over the non-cooperative groups, skipping excluded users.
+
+    ``supplies[k, j]``: user k caches the group j wants and is within the D2D
+    radius of j, and neither is excluded.  The candidate receivers are the
+    non-empty columns, the candidate transmitters the non-empty rows.
+    """
     allowed = np.ones(topology.num_users, dtype=bool)
     allowed[list(excluded)] = False
     # unserved demand of a group left to the NDLs
     wants = (content.request == 1) & (content.cache == 0) & (content.mode == 0)
-    receivers = np.flatnonzero(wants.any(axis=1) & allowed)
-    # near[c, k]: k caches the group receivers[c] wants and is within range
-    near = (
-        (content.cache[:, content.requested_group[receivers]] == 1)
-        & (topology.distances[:, receivers] < radius_m)
+    receiving = wants.any(axis=1) & allowed
+    return (
+        (content.cache[:, content.requested_group] == 1)
+        & (topology.distances < radius_m)
         & allowed[:, None]
-    ).T
-    counts = near.sum(axis=1)
-    lists = np.split(np.nonzero(near)[1], np.cumsum(counts)[:-1])
-    return NdlCandidates({
-        j: near_j.tolist()
-        for j, near_j, count in zip(receivers.tolist(), lists, counts)
-        if count
-    })
+        & receiving[None, :]
+    )
 
 
-@dataclass
-class PhaseOneOutcome:
-    """Role decisions and the interference costs that produced them."""
+def role_costs(
+    supplies: np.ndarray,
+    topology: Topology,
+    noise_w: float,
+    sinr_target: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ambiguous users (candidate receivers that also supply one) and
+    their transmit and receive costs.
 
-    roles: dict
-    alpha: dict   # minimum interference introduced when acting as a transmitter
-    beta: dict    # minimum interference introduced by the user's best supplier
-
-
-def _role_costs(gains, supplies, receivers, columns, scale):
-    """Transmit and receive costs of the ambiguous users receivers[columns]."""
-    ambiguous = receivers[columns]
+    The transmit cost alpha_u is the interference u injects at minimum power
+    into the other candidate receivers when serving its strongest requester v;
+    the receive cost beta_u is what u's strongest supplier tau injects into the
+    other candidate receivers when serving u.  The sums skip the served user
+    and the transmitter itself, and strongest-channel ties go to the lowest id.
+    """
+    receiving = supplies.any(axis=0)
+    receivers = np.flatnonzero(receiving)
+    ambiguous = np.flatnonzero(receiving & supplies.any(axis=1))
+    if not ambiguous.size:
+        return ambiguous, np.zeros(0), np.zeros(0)
+    gains = topology.power_gains
+    scale = noise_w * sinr_target
     rows = np.arange(ambiguous.size)
     # Costs are masked sums over the receiver row: subtracting the skipped
     # terms from a row total loses the relative precision of small costs.
     others = receivers[None, :] != ambiguous[:, None]
 
     tx_row = gains[np.ix_(ambiguous, receivers)]
-    served = np.argmax(np.where(supplies[ambiguous], tx_row, -np.inf), axis=1)
+    served = np.argmax(
+        np.where(supplies[np.ix_(ambiguous, receivers)], tx_row, -np.inf), axis=1
+    )
     skip = others.copy()
     skip[rows, served] = False
     alpha = scale / tx_row[rows, served] * np.where(skip, tx_row, 0.0).sum(axis=1)
 
-    beta = np.full(ambiguous.size, np.inf)
-    has_supplier = supplies[:, columns].any(axis=0)
-    users = ambiguous[has_supplier]
+    # every candidate receiver has a supplier, so tau always exists
     tau = np.argmax(
-        np.where(supplies[:, columns[has_supplier]], gains[:, users], -np.inf), axis=0
+        np.where(supplies[:, ambiguous], gains[:, ambiguous], -np.inf), axis=0
     )
     rx_row = gains[np.ix_(tau, receivers)]
-    skip = others[has_supplier] & (receivers[None, :] != tau[:, None])
-    beta[has_supplier] = (
-        scale / gains[tau, users] * np.where(skip, rx_row, 0.0).sum(axis=1)
-    )
-    return alpha, beta
+    skip = others & (receivers[None, :] != tau[:, None])
+    beta = scale / gains[tau, ambiguous] * np.where(skip, rx_row, 0.0).sum(axis=1)
+    return ambiguous, alpha, beta
 
 
 def nt_nr_decision(
-    candidates: NdlCandidates,
+    supplies: np.ndarray,
     topology: Topology,
     noise_w: float,
     sinr_target: float,
-) -> tuple[NdlCandidates, PhaseOneOutcome]:
-    """Resolve every ambiguous user (a candidate receiver that also supplies
-    one) to one role.
+) -> np.ndarray:
+    """Resolve every ambiguous user to one role; returns the resolved mask.
 
-    The transmit cost alpha_u is the interference u injects at minimum power
-    into the other candidate receivers when serving its strongest requester v;
-    the receive cost beta_u is what u's strongest supplier tau injects into the
-    other candidate receivers when serving u, +inf when u has no supplier.  The
-    sums skip the served user and the transmitter itself, and strongest-channel
-    ties go to the lowest id.  Costs are taken against the initial candidate
-    sets and applied in one batch: a strictly cheaper transmitter role drops
-    the user from the receiver pool, otherwise (ties included) it is struck
-    from every supplier list.
+    Costs come from :func:`role_costs` against the initial mask and are
+    applied in one batch: a strictly cheaper transmitter role drops the user
+    from the receiver pool (its column is cleared), otherwise (ties included)
+    it stops supplying (its row is cleared).
     """
-    receivers = np.array(candidates.receivers, dtype=int)
-    ambiguous = np.array(candidates.ambiguous, dtype=int)
-    # supplies[k, c]: user k is a supplier of receivers[c]
-    supplies = np.zeros((topology.num_users, receivers.size), dtype=bool)
-    for c, j in enumerate(receivers.tolist()):
-        supplies[candidates.suppliers[j], c] = True
-    alpha = beta = np.zeros(0)
-    if ambiguous.size:
-        alpha, beta = _role_costs(
-            topology.power_gains,
-            supplies,
-            receivers,
-            np.searchsorted(receivers, ambiguous),
-            noise_w * sinr_target,
-        )
-
-    ids = ambiguous.tolist()
-    roles = {
-        u: ROLE_TRANSMITTER if cheaper else ROLE_RECEIVER
-        for u, cheaper in zip(ids, (alpha < beta).tolist())
-    }
-    # Non-ambiguous candidates always survive this phase, even when their
-    # supplier list empties; they simply contribute no edges later on.
-    suppliers = {
-        j: [k for k in txs if roles.get(k) != ROLE_RECEIVER]
-        for j, txs in candidates.suppliers.items()
-        if roles.get(j) != ROLE_TRANSMITTER
-    }
-    outcome = PhaseOneOutcome(
-        roles, dict(zip(ids, alpha.tolist())), dict(zip(ids, beta.tolist()))
-    )
-    return NdlCandidates(suppliers), outcome
+    ambiguous, alpha, beta = role_costs(supplies, topology, noise_w, sinr_target)
+    transmitter = alpha < beta
+    resolved = supplies.copy()
+    resolved[:, ambiguous[transmitter]] = False
+    resolved[ambiguous[~transmitter], :] = False
+    return resolved
 
 
 def select_links(
-    candidates: NdlCandidates,
+    supplies: np.ndarray,
     topology: Topology,
     weight_mode: str = "reciprocal",
 ) -> list[tuple[int, int]]:
@@ -207,33 +153,27 @@ def select_links(
     """
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-    edges = [
-        (k, j) for j in candidates.receivers for k in candidates.suppliers[j]
-    ]
-    if not edges:
-        return []
-    tx_degree = Counter(k for k, _ in edges)
-    rx_degree = Counter(j for _, j in edges)
-    direct = [(k, j) for k, j in edges if tx_degree[k] == 1 and rx_degree[j] == 1]
-    contested = [(k, j) for k, j in edges if tx_degree[k] > 1 or rx_degree[j] > 1]
+    lone_tx = supplies.sum(axis=1) == 1
+    lone_rx = supplies.sum(axis=0) == 1
+    direct = supplies & lone_tx[:, None] & lone_rx[None, :]
+    contested = supplies & ~direct
+    txs, rxs = np.nonzero(direct)
 
-    matched: list[tuple[int, int]] = []
-    if contested:
-        txs, rxs = zip(*contested)
-        left_ids = sorted(set(txs))
-        right_ids = sorted(set(rxs))
-        left_index = {k: i for i, k in enumerate(left_ids)}
-        right_index = {j: i for i, j in enumerate(right_ids)}
-        gains = topology.power_gains[txs, rxs]
+    left = np.flatnonzero(contested.any(axis=1))
+    right = np.flatnonzero(contested.any(axis=0))
+    if left.size:
+        block = contested[np.ix_(left, right)]
+        gains = topology.power_gains[np.ix_(left, right)][block]
         weights = 1.0 / gains if weight_mode == "reciprocal" else gains
-        graph_edges = [
-            (left_index[k], right_index[j], weight)
-            for (k, j), weight in zip(contested, weights.tolist())
-        ]
-        graph = BipartiteGraph(len(left_ids), len(right_ids), graph_edges)
-        pairs = numerics.max_weight_matching(graph)
-        matched = [(left_ids[i], right_ids[j]) for i, j in pairs]
-    return sorted(direct + matched, key=lambda link: link[1])
+        i, j = np.nonzero(block)
+        graph = BipartiteGraph(
+            left.size, right.size, list(zip(i.tolist(), j.tolist(), weights.tolist()))
+        )
+        pairs = np.array(numerics.max_weight_matching(graph), dtype=int).reshape(-1, 2)
+        txs = np.concatenate([txs, left[pairs[:, 0]]])
+        rxs = np.concatenate([rxs, right[pairs[:, 1]]])
+    order = np.argsort(rxs)
+    return list(zip(txs[order].tolist(), rxs[order].tolist()))
 
 
 def link_gain_matrix(links, topology: Topology) -> np.ndarray:
@@ -463,12 +403,10 @@ def schedule_ndl(
 ) -> NdlSchedule:
     """Run candidate construction, role resolution, matching, admission and
     max-min power allocation for the non-cooperative groups."""
-    candidates = build_candidates(topology, content, config.radius_m, excluded)
-    if not candidates.suppliers:
+    supplies = build_candidates(topology, content, config.radius_m, excluded)
+    if not supplies.any():
         return NdlSchedule.empty()
-    resolved, _ = nt_nr_decision(
-        candidates, topology, config.noise_w, config.sinr_target
-    )
+    resolved = nt_nr_decision(supplies, topology, config.noise_w, config.sinr_target)
     links = select_links(resolved, topology, config.weight_mode)
     if not links:
         return NdlSchedule.empty()

@@ -84,15 +84,6 @@ def path_gain(distance_m):
     return 10.0 ** (-np.asarray(path_loss_db(distance_m)) / 10.0)
 
 
-def draw_channel(distance_m, rng: np.random.Generator, size=None):
-    """Draw a Rayleigh-faded coefficient with mean power 10^(-PL(d)/10)."""
-    gain = path_gain(distance_m)
-    shape = np.shape(gain) if size is None else size
-    fading = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    h = np.sqrt(gain / 2.0) * fading
-    return complex(h) if (size is None and np.isscalar(distance_m)) else h
-
-
 def build_topology(geometry: SimGeometry, rng: np.random.Generator) -> Topology:
     """Generate positions and the full K x K channel matrix for one drop."""
     positions = place_users(geometry, rng)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from d2dcache import cli, harness
 from d2dcache.cli import main
 from d2dcache.harness import read_results
 
@@ -86,3 +89,39 @@ def test_invalid_config_value_fails(tmp_path, capsys):
     bad = tiny_config(tmp_path, drops=0)
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"drops": "5"},
+        {"drops": 2.5},
+        {"drops": True},
+        {"num_users": 30.5},
+        {"pmax_dbm": "23"},
+        {"betas": 0.6},
+        {"betas": ["0.6"]},
+        {"user_counts": 8},
+        {"user_counts": [8.0]},
+    ],
+)
+def test_wrongly_typed_config_value_fails(tmp_path, capsys, extra):
+    bad = tiny_config(tmp_path, **extra)
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", [{"user_counts": [8, 1]}, {"betas": [0.8, -1.0]}])
+def test_invalid_sweep_axis_fails_before_any_cell(tmp_path, capsys, monkeypatch, axis):
+    cells = []
+
+    def recording(*args, **kwargs):
+        cells.append(kwargs)
+        return {}
+
+    monkeypatch.setattr(harness, "run_cell", recording)
+    monkeypatch.setattr(cli, "run_cell", recording)
+    bad = tiny_config(tmp_path, **axis)
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert cells == []

@@ -16,9 +16,9 @@ from d2dcache.content import (
     classify_users,
     derive_group_sets,
     draw_requests,
+    file_request_probs,
     place_caches,
     select_coop_group,
-    zipf_group_prob,
 )
 
 DEFAULT = Catalog(num_files=200, cache_size=10, num_popular=100, zipf_beta=0.8)
@@ -31,6 +31,13 @@ def group_prob_oracle(group: int, catalog: Catalog) -> float:
     num = math.fsum(eta ** (-catalog.zipf_beta) for eta in range(lo, hi + 1))
     den = math.fsum(t ** (-catalog.zipf_beta) for t in range(1, catalog.num_files + 1))
     return num / den
+
+
+def zipf_group_prob(group: int, catalog: Catalog) -> float:
+    """Probability that one request falls inside the given (0-based) group,
+    from the file probabilities the request draw uses."""
+    lo = group * catalog.cache_size
+    return float(file_request_probs(catalog)[lo : lo + catalog.cache_size].sum())
 
 
 def test_zipf_uniform_case():
@@ -50,12 +57,6 @@ def test_zipf_matches_summation_oracle_and_decreases():
 def test_zipf_total_below_one_with_unpopular_tail():
     total = sum(zipf_group_prob(g, DEFAULT) for g in range(DEFAULT.num_groups))
     assert total < 1.0
-
-
-def test_zipf_group_out_of_range():
-    for g in (-1, DEFAULT.num_groups):
-        with pytest.raises(ValueError):
-            zipf_group_prob(g, DEFAULT)
 
 
 @given(beta=st.floats(0.05, 3.0), g=st.integers(0, 8))
@@ -98,18 +99,16 @@ def test_requests_group_frequency_matches_oracle():
 
 def test_request_row_structure():
     cat = DEFAULT
-    assert cat.group_of_file(15) == 1
-    assert cat.group_of_file(10) == 0
-    assert cat.group_of_file(101) == -1
     request, files = draw_requests(500, cat, np.random.default_rng(4))
     sums = request.sum(axis=1)
     assert np.all((sums == 0) | (sums == 1))
     for k in range(500):
-        g = cat.group_of_file(int(files[k]))
-        if g < 0:
+        rank = int(files[k])
+        if rank > cat.num_popular:
             assert sums[k] == 0
         else:
-            assert request[k, g] == 1
+            # files 1..10 form group 0, 11..20 group 1, ...
+            assert request[k, (rank - 1) // cat.cache_size] == 1
 
 
 def test_cache_rows_are_one_hot_and_sets_disjoint():

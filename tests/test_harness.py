@@ -13,7 +13,6 @@ from d2dcache.harness import (
     read_results,
     run_cell,
     run_drop,
-    run_nocoop_drop,
     run_pipeline,
     run_sweep,
     simulate_drop,
@@ -242,10 +241,10 @@ def test_drop_level_bounds_and_rate_floors():
             excluded = set(result.cdl_schedule.transmitters.tolist()) | set(
                 result.cdl_schedule.receivers.tolist()
             )
-        cands = build_candidates(
+        supplies = build_candidates(
             result.topology, content, config.d2d_radius_m, excluded
         )
-        assert result.metrics.served_nrs <= len(cands.receivers)
+        assert result.metrics.served_nrs <= supplies.any(axis=0).sum()
         assert np.all(result.cdl_schedule.rates_bps >= floor_c * (1 - 1e-6))
         assert np.all(result.ndl_schedule.rates_bps >= floor_n * (1 - 1e-6))
 
@@ -319,10 +318,11 @@ def test_sweep_rows_and_worker_invariance():
     assert threaded == serial
 
 
-def test_run_nocoop_drop_wrapper():
+def test_run_drop_nocoop_mode():
     config = small_config()
     direct = simulate_drop(config, 11, mode="nocoop").metrics
-    assert run_nocoop_drop(config, 11) == direct
+    assert run_drop(config, 11, mode="nocoop") == direct
+    assert config.mode == "coop"
 
 
 # --- configuration -------------------------------------------------------------------
@@ -351,3 +351,5 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         SimConfig(betas=[]).validate()
     small_config().validate()
+    # a JSON integer is a valid value for a float field
+    small_config(pmax_dbm=23, zipf_beta=1, betas=[1, 0.5]).validate()

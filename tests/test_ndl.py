@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from d2dcache import harness, ndl, numerics
 from d2dcache.content import ContentState, derive_group_sets
 from d2dcache.ndl import (
-    NdlCandidates,
+    WEIGHT_MODES,
     NdlConfig,
     RemovalOutcome,
     build_candidates,
@@ -16,6 +17,7 @@ from d2dcache.ndl import (
     min_power_vector,
     ndl_rates,
     nt_nr_decision,
+    role_costs,
     schedule_ndl,
     select_links,
     sinrs,
@@ -73,20 +75,29 @@ def content_from(cache, request, coop_group=None):
 # --- candidate construction -----------------------------------------------------
 
 
+def suppliers_of(supplies):
+    """Receiver -> sorted supplier ids for every non-empty column of a mask."""
+    return {
+        int(j): np.flatnonzero(supplies[:, j]).tolist()
+        for j in np.flatnonzero(supplies.any(axis=0))
+    }
+
+
 def test_no_cacher_in_range_means_no_receivers():
     positions = np.array([[0.0, 0.0], [90.0, 90.0]])
     topo = topology_with(np.full((2, 2), 1e-5 + 0j), positions)
     content = content_from([[1, 0], [0, 1]], [[0, 0], [1, 0]])
-    cands = build_candidates(topo, content, radius_m=30.0)
-    assert cands.suppliers == {}
+    supplies = build_candidates(topo, content, radius_m=30.0)
+    assert supplies.shape == (2, 2) and supplies.dtype == bool
+    assert not supplies.any()
 
 
 def test_supplier_within_radius_is_candidate():
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
     topo = topology_with(np.full((2, 2), 1e-5 + 0j), positions)
     content = content_from([[1, 0], [0, 1]], [[0, 0], [1, 0]])
-    cands = build_candidates(topo, content, radius_m=30.0)
-    assert cands.suppliers == {1: [0]}
+    supplies = build_candidates(topo, content, radius_m=30.0)
+    assert suppliers_of(supplies) == {1: [0]}
 
 
 def test_candidates_match_bruteforce_scan():
@@ -105,7 +116,7 @@ def test_candidates_match_bruteforce_scan():
         coop = int(rng.integers(0, g))
         content = content_from(cache, request, coop_group=coop)
         excluded = set(rng.choice(k, size=2, replace=False).tolist())
-        cands = build_candidates(topo, content, 30.0, excluded)
+        supplies = build_candidates(topo, content, 30.0, excluded)
         # independent pairwise scan
         expected = {}
         for j in range(k):
@@ -122,7 +133,7 @@ def test_candidates_match_bruteforce_scan():
             ]
             if near:
                 expected[j] = sorted(near)
-        assert cands.suppliers == expected
+        assert suppliers_of(supplies) == expected
 
 
 def test_excluded_users_never_appear():
@@ -131,9 +142,9 @@ def test_excluded_users_never_appear():
     content = content_from(
         [[1, 0], [0, 1], [1, 0]], [[0, 1], [1, 0], [0, 1]]
     )
-    cands = build_candidates(topo, content, 30.0, excluded={0})
-    assert 0 not in cands.suppliers
-    assert all(0 not in txs for txs in cands.suppliers.values())
+    supplies = build_candidates(topo, content, 30.0, excluded={0})
+    assert supplies.any()
+    assert not supplies[0].any() and not supplies[:, 0].any()
 
 
 # --- phase I: transmitter/receiver decision ----------------------------------------
@@ -151,31 +162,29 @@ def ambiguous_setup(gain_uv, gain_vu, cross=1e-14):
 
 def test_costs_degenerate_cases():
     topo, _ = ambiguous_setup(1e-9, 1e-9)
-    resolved, outcome = nt_nr_decision(NdlCandidates({}), topo, NOISE, GAMMA)
-    assert resolved.suppliers == {}
-    assert outcome.roles == outcome.alpha == outcome.beta == {}
-    # user 0 supplies user 1 but has no supplier of its own: the receive cost
-    # is infinite, so the transmitter role wins
-    cands = NdlCandidates({0: [], 1: [0]})
-    assert cands.ambiguous == [0]
-    resolved, outcome = nt_nr_decision(cands, topo, NOISE, GAMMA)
-    assert math.isinf(outcome.beta[0])
-    assert math.isfinite(outcome.alpha[0])
-    assert outcome.roles == {0: "transmitter"}
-    assert resolved.suppliers == {1: [0]}
+    empty = np.zeros((2, 2), dtype=bool)
+    ambiguous, alpha, beta = role_costs(empty, topo, NOISE, GAMMA)
+    assert ambiguous.size == alpha.size == beta.size == 0
+    assert not nt_nr_decision(empty, topo, NOISE, GAMMA).any()
+    # user 0 supplies user 1 but has no supplier of its own: it is no
+    # candidate receiver, so it is not ambiguous and keeps its edge
+    supplies = np.array([[False, True], [False, False]])
+    ambiguous, _, _ = role_costs(supplies, topo, NOISE, GAMMA)
+    assert ambiguous.size == 0
+    resolved = nt_nr_decision(supplies, topo, NOISE, GAMMA)
+    assert np.array_equal(resolved, supplies)
 
 
 def test_tie_resolves_to_receiver():
     topo, content = ambiguous_setup(2e-9, 2e-9)
-    cands = build_candidates(topo, content, 30.0)
-    assert cands.ambiguous == [0, 1]
-    resolved, outcome = nt_nr_decision(cands, topo, NOISE, GAMMA)
+    supplies = build_candidates(topo, content, 30.0)
+    ambiguous, alpha, beta = role_costs(supplies, topo, NOISE, GAMMA)
+    assert ambiguous.tolist() == [0, 1]
     # a mutually ambiguous pair is an exact cost tie, so both stay receivers
-    assert outcome.alpha[0] == pytest.approx(outcome.beta[0])
-    assert outcome.roles[0] == "receiver"
-    assert outcome.roles[1] == "receiver"
-    # with both suppliers reassigned to receivers the lists empty out
-    assert resolved.suppliers == {0: [], 1: []}
+    assert alpha[0] == pytest.approx(beta[0])
+    assert not np.any(alpha < beta)
+    # with both suppliers reassigned to receivers no edge is left
+    assert not nt_nr_decision(supplies, topo, NOISE, GAMMA).any()
 
 
 def four_user_ambiguous_setup(gain_02, gain_03, gain_10, gain_12, gain_13):
@@ -200,13 +209,13 @@ def test_cheap_transmitter_role_wins():
     topo, content = four_user_ambiguous_setup(
         gain_02=1e-8, gain_03=1e-13, gain_10=1e-11, gain_12=1e-9, gain_13=1e-9
     )
-    cands = build_candidates(topo, content, 30.0)
-    assert cands.ambiguous == [0]
-    resolved, outcome = nt_nr_decision(cands, topo, NOISE, GAMMA)
-    assert outcome.alpha[0] < outcome.beta[0]
-    assert outcome.roles[0] == "transmitter"
-    assert 0 not in resolved.suppliers
-    assert 0 in resolved.suppliers[2]
+    supplies = build_candidates(topo, content, 30.0)
+    ambiguous, alpha, beta = role_costs(supplies, topo, NOISE, GAMMA)
+    assert ambiguous.tolist() == [0]
+    assert alpha[0] < beta[0]
+    resolved = nt_nr_decision(supplies, topo, NOISE, GAMMA)
+    assert not resolved[:, 0].any()
+    assert resolved[0, 2]
 
 
 def test_cheap_receiver_role_wins():
@@ -214,34 +223,36 @@ def test_cheap_receiver_role_wins():
     topo, content = four_user_ambiguous_setup(
         gain_02=1e-10, gain_03=1e-8, gain_10=1e-8, gain_12=1e-14, gain_13=1e-14
     )
-    cands = build_candidates(topo, content, 30.0)
-    resolved, outcome = nt_nr_decision(cands, topo, NOISE, GAMMA)
-    assert outcome.alpha[0] > outcome.beta[0]
-    assert outcome.roles[0] == "receiver"
-    assert 0 in resolved.suppliers
-    assert all(0 not in txs for txs in resolved.suppliers.values())
+    supplies = build_candidates(topo, content, 30.0)
+    ambiguous, alpha, beta = role_costs(supplies, topo, NOISE, GAMMA)
+    assert ambiguous.tolist() == [0]
+    assert alpha[0] > beta[0]
+    resolved = nt_nr_decision(supplies, topo, NOISE, GAMMA)
+    assert resolved[:, 0].any()
+    assert not resolved[0].any()
 
 
-def assert_costs_match_pairwise(cands, topo, noise, gamma):
+def assert_costs_match_pairwise(supplies, topo, noise, gamma):
     """Both role costs of every ambiguous user against per-pair sums."""
-    _, outcome = nt_nr_decision(cands, topo, noise, gamma)
-    receivers = cands.receivers
-    assert sorted(outcome.roles) == cands.ambiguous
-    for u in cands.ambiguous:
-        served = [j for j in receivers if u in cands.suppliers[j]]
+    ambiguous, alphas, betas = role_costs(supplies, topo, noise, gamma)
+    receivers = np.flatnonzero(supplies.any(axis=0)).tolist()
+    assert ambiguous.tolist() == [u for u in receivers if supplies[u].any()]
+    for u, got_alpha, got_beta in zip(ambiguous.tolist(), alphas, betas):
+        served = [j for j in receivers if supplies[u, j]]
         v = max(served, key=lambda j: (pair_gain(topo, u, j), -j))
         alpha = (
             noise * gamma / pair_gain(topo, u, v)
             * sum(pair_gain(topo, u, w) for w in receivers if w not in (u, v))
         )
-        tau = max(cands.suppliers[u], key=lambda i: (pair_gain(topo, i, u), -i))
+        suppliers = np.flatnonzero(supplies[:, u]).tolist()
+        tau = max(suppliers, key=lambda i: (pair_gain(topo, i, u), -i))
         beta = (
             noise * gamma / pair_gain(topo, tau, u)
             * sum(pair_gain(topo, tau, w) for w in receivers if w not in (u, tau))
         )
-        assert outcome.alpha[u] == pytest.approx(alpha, rel=1e-12)
-        assert outcome.beta[u] == pytest.approx(beta, rel=1e-12)
-    return len(cands.ambiguous)
+        assert got_alpha == pytest.approx(alpha, rel=1e-12)
+        assert got_beta == pytest.approx(beta, rel=1e-12)
+    return ambiguous.size
 
 
 def test_costs_match_independent_recomputation(monkeypatch):
@@ -260,16 +271,16 @@ def test_costs_match_independent_recomputation(monkeypatch):
             if cache[u, g] == 0:
                 request[u, g] = 1
         content = content_from(cache, request)
-        cands = build_candidates(topo, content, 60.0)
-        assert_costs_match_pairwise(cands, topo, NOISE, GAMMA)
+        supplies = build_candidates(topo, content, 60.0)
+        assert_costs_match_pairwise(supplies, topo, NOISE, GAMMA)
 
     # the role resolution of K=100 pipeline drops
     decide = ndl.nt_nr_decision
     calls = []
 
-    def recording(candidates, topology, noise_w, sinr_target):
-        calls.append((candidates, topology, noise_w, sinr_target))
-        return decide(candidates, topology, noise_w, sinr_target)
+    def recording(supplies, topology, noise_w, sinr_target):
+        calls.append((supplies, topology, noise_w, sinr_target))
+        return decide(supplies, topology, noise_w, sinr_target)
 
     monkeypatch.setattr(ndl, "nt_nr_decision", recording)
     config = harness.SimConfig()
@@ -297,12 +308,20 @@ def test_phase_one_preserves_non_ambiguous_candidates():
             if cache[u, g] == 0:
                 request[u, g] = 1
         content = content_from(cache, request)
-        cands = build_candidates(topo, content, 50.0)
-        resolved, outcome = nt_nr_decision(cands, topo, NOISE, GAMMA)
-        non_ambiguous = set(cands.receivers) - set(cands.ambiguous)
-        assert non_ambiguous <= set(resolved.receivers)
-        for u, role in outcome.roles.items():
-            assert u in cands.ambiguous
+        supplies = build_candidates(topo, content, 50.0)
+        ambiguous, alpha, beta = role_costs(supplies, topo, NOISE, GAMMA)
+        resolved = nt_nr_decision(supplies, topo, NOISE, GAMMA)
+        receives, sends = supplies.any(axis=0), supplies.any(axis=1)
+        assert ambiguous.tolist() == np.flatnonzero(receives & sends).tolist()
+        # a plain receiver loses only suppliers that resolved to receiver
+        plain = receives & ~sends
+        stays_receiver = np.isin(np.arange(k), ambiguous[alpha >= beta])
+        assert np.array_equal(
+            resolved[:, plain], supplies[:, plain] & ~stays_receiver[:, None]
+        )
+        # resolution only removes edges, and leaves each user one role
+        assert not (resolved & ~supplies).any()
+        assert not (resolved.any(axis=0) & resolved.any(axis=1)).any()
 
 
 # --- phase II: link selection -------------------------------------------------------
@@ -312,8 +331,8 @@ def test_single_pair_selected_directly():
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
     topo = topology_with(np.full((2, 2), 1e-5 + 0j), positions)
     content = content_from([[1, 0], [0, 1]], [[0, 0], [1, 0]])
-    cands = build_candidates(topo, content, 30.0)
-    assert select_links(cands, topo) == [(0, 1)]
+    supplies = build_candidates(topo, content, 30.0)
+    assert select_links(supplies, topo) == [(0, 1)]
 
 
 def shared_transmitter_setup(gain_a, gain_b):
@@ -329,12 +348,12 @@ def shared_transmitter_setup(gain_a, gain_b):
 
 def test_shared_transmitter_weight_modes():
     topo, content = shared_transmitter_setup(1e-8, 1e-9)
-    cands = build_candidates(topo, content, 30.0)
+    supplies = build_candidates(topo, content, 30.0)
     # reciprocal weights favor the weaker channel, gain weights the stronger
-    assert select_links(cands, topo, "reciprocal") == [(0, 2)]
-    assert select_links(cands, topo, "gain") == [(0, 1)]
+    assert select_links(supplies, topo, "reciprocal") == [(0, 2)]
+    assert select_links(supplies, topo, "gain") == [(0, 1)]
     with pytest.raises(ValueError):
-        select_links(cands, topo, "other")
+        select_links(supplies, topo, "other")
 
 
 def test_matching_respects_one_to_one():
@@ -353,8 +372,8 @@ def test_matching_respects_one_to_one():
             if cache[u, g] == 0:
                 request[u, g] = 1
         content = content_from(cache, request)
-        cands = build_candidates(topo, content, 50.0)
-        resolved, _ = nt_nr_decision(cands, topo, NOISE, GAMMA)
+        supplies = build_candidates(topo, content, 50.0)
+        resolved = nt_nr_decision(supplies, topo, NOISE, GAMMA)
         links = select_links(resolved, topo)
         txs = [tx for tx, _ in links]
         rxs = [rx for _, rx in links]
@@ -362,7 +381,165 @@ def test_matching_respects_one_to_one():
         assert len(set(rxs)) == len(rxs)
         assert set(txs).isdisjoint(rxs)
         for tx, rx in links:
-            assert tx in resolved.suppliers[rx]
+            assert resolved[tx, rx]
+
+
+# --- reference: the dict-based front end the supply mask replaced ---------------------
+
+
+def dict_candidates(topology, content, radius_m, excluded=frozenset()):
+    """Receiver -> in-range suppliers, only for receivers with at least one."""
+    allowed = np.ones(topology.num_users, dtype=bool)
+    allowed[list(excluded)] = False
+    wants = (content.request == 1) & (content.cache == 0) & (content.mode == 0)
+    receivers = np.flatnonzero(wants.any(axis=1) & allowed)
+    near = (
+        (content.cache[:, content.requested_group[receivers]] == 1)
+        & (topology.distances[:, receivers] < radius_m)
+        & allowed[:, None]
+    ).T
+    counts = near.sum(axis=1)
+    lists = np.split(np.nonzero(near)[1], np.cumsum(counts)[:-1])
+    return {
+        j: near_j.tolist()
+        for j, near_j, count in zip(receivers.tolist(), lists, counts)
+        if count
+    }
+
+
+def dict_role_costs(gains, supplies, receivers, columns, scale):
+    """Transmit and receive costs of the ambiguous users receivers[columns]."""
+    ambiguous = receivers[columns]
+    rows = np.arange(ambiguous.size)
+    others = receivers[None, :] != ambiguous[:, None]
+
+    tx_row = gains[np.ix_(ambiguous, receivers)]
+    served = np.argmax(np.where(supplies[ambiguous], tx_row, -np.inf), axis=1)
+    skip = others.copy()
+    skip[rows, served] = False
+    alpha = scale / tx_row[rows, served] * np.where(skip, tx_row, 0.0).sum(axis=1)
+
+    beta = np.full(ambiguous.size, np.inf)
+    has_supplier = supplies[:, columns].any(axis=0)
+    users = ambiguous[has_supplier]
+    tau = np.argmax(
+        np.where(supplies[:, columns[has_supplier]], gains[:, users], -np.inf), axis=0
+    )
+    rx_row = gains[np.ix_(tau, receivers)]
+    skip = others[has_supplier] & (receivers[None, :] != tau[:, None])
+    beta[has_supplier] = (
+        scale / gains[tau, users] * np.where(skip, rx_row, 0.0).sum(axis=1)
+    )
+    return alpha, beta
+
+
+def dict_decision(suppliers, topology, noise_w, sinr_target):
+    """Resolved supplier lists, roles and the alpha/beta cost dicts."""
+    receivers = np.array(sorted(suppliers), dtype=int)
+    transmitters = {k for txs in suppliers.values() for k in txs}
+    ambiguous = np.array([u for u in receivers.tolist() if u in transmitters], dtype=int)
+    supplies = np.zeros((topology.num_users, receivers.size), dtype=bool)
+    for c, j in enumerate(receivers.tolist()):
+        supplies[suppliers[j], c] = True
+    alpha = beta = np.zeros(0)
+    if ambiguous.size:
+        alpha, beta = dict_role_costs(
+            topology.power_gains,
+            supplies,
+            receivers,
+            np.searchsorted(receivers, ambiguous),
+            noise_w * sinr_target,
+        )
+    ids = ambiguous.tolist()
+    roles = {
+        u: "transmitter" if cheaper else "receiver"
+        for u, cheaper in zip(ids, (alpha < beta).tolist())
+    }
+    resolved = {
+        j: [k for k in txs if roles.get(k) != "receiver"]
+        for j, txs in suppliers.items()
+        if roles.get(j) != "transmitter"
+    }
+    return resolved, roles, dict(zip(ids, alpha.tolist())), dict(zip(ids, beta.tolist()))
+
+
+def dict_links(suppliers, topology, weight_mode="reciprocal"):
+    """Degree-1 pairs kept outright, the rest matched on a re-indexed graph."""
+    edges = [(k, j) for j in sorted(suppliers) for k in suppliers[j]]
+    if not edges:
+        return []
+    tx_degree = Counter(k for k, _ in edges)
+    rx_degree = Counter(j for _, j in edges)
+    direct = [(k, j) for k, j in edges if tx_degree[k] == 1 and rx_degree[j] == 1]
+    contested = [(k, j) for k, j in edges if tx_degree[k] > 1 or rx_degree[j] > 1]
+
+    matched = []
+    if contested:
+        txs, rxs = zip(*contested)
+        left_ids = sorted(set(txs))
+        right_ids = sorted(set(rxs))
+        left_index = {k: i for i, k in enumerate(left_ids)}
+        right_index = {j: i for i, j in enumerate(right_ids)}
+        gains = topology.power_gains[txs, rxs]
+        weights = 1.0 / gains if weight_mode == "reciprocal" else gains
+        graph_edges = [
+            (left_index[k], right_index[j], weight)
+            for (k, j), weight in zip(contested, weights.tolist())
+        ]
+        graph = numerics.BipartiteGraph(len(left_ids), len(right_ids), graph_edges)
+        pairs = numerics.max_weight_matching(graph)
+        matched = [(left_ids[i], right_ids[j]) for i, j in pairs]
+    return sorted(direct + matched, key=lambda link: link[1])
+
+
+# (K, mode, beta) cells, seeds 1..200 each
+REFERENCE_CELLS = (
+    (100, "nocoop", 0.6),
+    (30, "coop", 1.2),
+    (30, "nocoop", 1.2),
+    (20, "coop", 0.6),
+    (40, "nocoop", 1.6),
+)
+
+
+def test_mask_front_end_matches_dict_reference(monkeypatch):
+    config = harness.SimConfig()
+    ndl_config = config.ndl_config()
+    noise, target = ndl_config.noise_w, ndl_config.sinr_target
+    build = ndl.build_candidates
+    with_candidates = []
+
+    def checking(topology, content, radius_m, excluded=frozenset()):
+        supplies = build(topology, content, radius_m, excluded)
+        suppliers = dict_candidates(topology, content, radius_m, excluded)
+        assert supplies.shape == (topology.num_users,) * 2
+        assert suppliers_of(supplies) == suppliers
+        with_candidates.append(bool(suppliers))
+
+        resolved_ref, roles, alpha_ref, beta_ref = dict_decision(
+            suppliers, topology, noise, target
+        )
+        ambiguous, alpha, beta = role_costs(supplies, topology, noise, target)
+        ids = ambiguous.tolist()
+        assert sorted(roles) == ids
+        assert alpha.tobytes() == np.array([alpha_ref[u] for u in ids]).tobytes()
+        assert beta.tobytes() == np.array([beta_ref[u] for u in ids]).tobytes()
+        assert [roles[u] == "transmitter" for u in ids] == (alpha < beta).tolist()
+
+        resolved = nt_nr_decision(supplies, topology, noise, target)
+        assert suppliers_of(resolved) == {j: txs for j, txs in resolved_ref.items() if txs}
+        for mode in WEIGHT_MODES:
+            assert select_links(resolved, topology, mode) == dict_links(
+                resolved_ref, topology, mode
+            )
+        return supplies
+
+    monkeypatch.setattr(ndl, "build_candidates", checking)
+    for num_users, mode, beta in REFERENCE_CELLS:
+        for seed in range(1, 201):
+            harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
+    assert len(with_candidates) == 1000
+    assert sum(with_candidates) > 950
 
 
 # --- link checking -------------------------------------------------------------------

@@ -8,7 +8,6 @@ from d2dcache.topology import (
     Topology,
     build_topology,
     dbm_to_watt,
-    draw_channel,
     path_gain,
     path_loss_db,
     place_users,
@@ -59,24 +58,35 @@ def test_mean_channel_power_monotone_in_distance():
     assert path_gain(5.0) > path_gain(6.0) > path_gain(60.0)
 
 
-def test_draw_channel_moments():
-    rng = np.random.default_rng(42)
-    draws = draw_channel(10.0, rng, size=100_000)
-    expected = 10 ** (-7.44)
-    mean_power = np.mean(np.abs(draws) ** 2)
-    assert abs(mean_power / expected - 1.0) < 0.03
+def normalized_fading(seed, drops=10, num_users=100):
+    """Off-diagonal channels of ``build_topology`` divided by the path-loss
+    amplitude of their (clamped) distance: the unit-power fading draws."""
+    rng = np.random.default_rng(seed)
+    off = ~np.eye(num_users, dtype=bool)
+    draws = []
+    for _ in range(drops):
+        topo = build_topology(SimGeometry(num_users=num_users), rng)
+        draws.append(topo.channels[off] / np.sqrt(path_gain(topo.distances[off])))
+    return np.concatenate(draws)
+
+
+def test_channel_moments():
+    draws = normalized_fading(42)
+    assert draws.size == 99_000
+    assert abs(np.mean(np.abs(draws) ** 2) - 1.0) < 0.03
     # circular symmetry: both parts zero mean, each carrying half the power
-    sigma = np.sqrt(expected / 2)
+    sigma = np.sqrt(0.5)
     assert abs(draws.real.mean()) < 5 * sigma / np.sqrt(draws.size)
     assert abs(draws.imag.mean()) < 5 * sigma / np.sqrt(draws.size)
+    assert abs(np.mean(draws.real**2) - 0.5) < 0.02
+    assert abs(np.mean(draws.imag**2) - 0.5) < 0.02
 
 
 def test_fading_power_is_unit_mean_exponential():
-    rng = np.random.default_rng(3)
-    d = 25.0
-    draws = draw_channel(d, rng, size=150_000)
-    normalized = np.abs(draws) ** 2 / path_gain(d)
+    normalized = np.abs(normalized_fading(3, drops=15)) ** 2
     assert 0.97 < normalized.mean() < 1.03
+    # exponential law: P(|h|^2 > 1) = exp(-1)
+    assert abs(np.mean(normalized > 1.0) - np.exp(-1.0)) < 0.01
 
 
 def test_build_topology_structure():
