@@ -183,6 +183,18 @@ def link_gain_matrix(links, topology: Topology) -> np.ndarray:
     return topology.power_gains[np.ix_(txs, rxs)]
 
 
+def admission_system(gains: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Matrix A with A p = noise exactly when every link sits at its SINR
+    target: A = -G^T with diagonal G_ii / gamma_i.  A Z-matrix, so a
+    non-negative solution for positive noise certifies that the targets are
+    jointly reachable (a nonsingular M-matrix); the power box is separate."""
+    if np.any(targets <= 0):
+        raise ValueError("SINR targets must be positive")
+    system = -gains.T
+    np.fill_diagonal(system, np.diag(gains) / targets)
+    return system
+
+
 def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
     """Powers putting every link exactly at its SINR target, or None if the
     admission system is singular."""
@@ -192,10 +204,7 @@ def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
     targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
     if n == 0:
         return np.zeros(0)
-    if np.any(targets <= 0):
-        raise ValueError("SINR targets must be positive")
-    system = -gains.T.copy()
-    np.fill_diagonal(system, np.diag(gains) / targets)
+    system = admission_system(gains, targets)
     try:
         return numerics.solve_linear(system, noise)
     except SingularSystemError:
@@ -237,17 +246,21 @@ def removal_order(gain_matrix, noise_w, sinr_targets, pmax_w) -> list[int]:
     tolerance = sinr_targets / pmax_w                   # interference sensitivity
     cross = gains.copy()
     np.fill_diagonal(cross, 0.0)
-    alive = np.arange(gains.shape[0])
+    # rescored from scratch each step on the full-size matrices, dead links
+    # zeroed out of the sums: downdating the previous scores drifts enough to
+    # flip near-tied picks
+    tolerance_alive, own_min_alive = tolerance.copy(), own_min.copy()
+    dead = np.zeros(gains.shape[0], dtype=bool)
     order = []
-    while alive.size:
-        # rescored on the alive set each step: downdating the previous scores
-        # drifts enough to flip near-tied picks
-        sub = cross[np.ix_(alive, alive)]
-        injected = own_min[alive] * (sub @ tolerance[alive])
-        absorbed = tolerance[alive] * (sub.T @ own_min[alive])
-        worst = int(np.argmax(np.maximum(injected, absorbed)))
-        order.append(int(alive[worst]))
-        alive = np.delete(alive, worst)
+    for _ in range(gains.shape[0]):
+        injected = own_min * (cross @ tolerance_alive)
+        absorbed = tolerance * (cross.T @ own_min_alive)
+        scores = np.maximum(injected, absorbed)
+        scores[dead] = -np.inf
+        worst = int(scores.argmax())
+        order.append(worst)
+        tolerance_alive[worst] = own_min_alive[worst] = 0.0
+        dead[worst] = True
     return order
 
 
@@ -265,39 +278,55 @@ def check_and_remove(
     The full set is solved first and, only if it fails, the prefix is found
     by bisection.  Feasibility can only switch on along the order: a subset
     of a feasible set has an elementwise smaller minimum-power vector
-    (Perron-Frobenius), so at most 1 + ceil(log2 n) solves are made.
+    (Perron-Frobenius), so at most 1 + ceil(log2 n) solves are made.  Every
+    solve is on a principal submatrix of one :func:`admission_system`.
     """
     n = len(links)
     gains = np.asarray(gain_matrix, dtype=float)
     noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
     targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
     pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,))
+    system = admission_system(gains, targets)
+    limit = pmax * (1.0 + TOL.power_feasibility_rel)
 
-    def admit(alive):
-        sub = gains[np.ix_(alive, alive)]
-        powers = min_power_vector(sub, noise[alive], targets[alive])
-        feasible = powers is not None and bool(
-            np.all(powers >= 0.0)
-            and np.all(powers <= pmax[alive] * (1.0 + TOL.power_feasibility_rel))
+    def min_powers(alive):
+        """Minimum powers of the alive links if they fit the box, else None."""
+        if not alive.size:
+            return np.zeros(0)
+        try:
+            powers = numerics.solve_linear(system[alive[:, None], alive], noise[alive])
+        except SingularSystemError:
+            return None
+        if (powers >= 0.0).all() and (powers <= limit[alive]).all():
+            return powers
+        return None
+
+    def outcome(alive, powers):
+        return RemovalOutcome(
+            [links[i] for i in alive],
+            gains[alive[:, None], alive],
+            targets[alive],
+            powers,
+            n - alive.size,
         )
-        kept = [links[i] for i in alive]
-        return feasible, RemovalOutcome(kept, sub, targets[alive], powers, n - len(alive))
 
-    feasible, outcome = admit(np.arange(n))
-    if feasible:
-        return outcome
+    alive = np.arange(n)
+    powers = min_powers(alive)
+    if powers is not None:
+        return outcome(alive, powers)
     order = removal_order(gains, noise, targets, pmax)
     # prefix lengths: lo is known infeasible, hi feasible (all removed)
     lo, hi = 0, n
-    _, outcome = admit(np.arange(0))
+    alive, powers = np.arange(0), np.zeros(0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        feasible, trial = admit(np.sort(order[mid:]))
-        if feasible:
-            hi, outcome = mid, trial
+        trial = np.sort(order[mid:])
+        trial_powers = min_powers(trial)
+        if trial_powers is not None:
+            hi, alive, powers = mid, trial, trial_powers
         else:
             lo = mid
-    return outcome
+    return outcome(alive, powers)
 
 
 @dataclass

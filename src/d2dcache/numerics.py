@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
 
@@ -18,7 +19,9 @@ class Tolerances:
     zf_residual: float = 1e-9       # max |H^H W - I| entry
     orthogonality: float = 1e-9     # normalized cross-correlation of ZF directions
     linsolve_rel: float = 1e-8      # ||Ax - b|| relative to ||b||
-    condition_limit: float = 1e12   # declare a system numerically singular above this
+    # declare a real system numerically singular when LAPACK's 1-norm condition
+    # estimate (xGECON on the LU factors) exceeds this
+    condition_limit: float = 1e12
     power_feasibility_rel: float = 1e-6   # slack allowed on power/QoS constraints
     sinr_match_rel: float = 1e-6    # SINR-at-target agreement for minimum powers
     dual_move_rel: float = 1e-5     # multiplier movement declaring dual convergence
@@ -48,8 +51,9 @@ def zf_precoder(channel_matrix: np.ndarray) -> ZfPrecoder:
     """Zero-forcing precoder for stacked receiver channel columns.
 
     ``channel_matrix`` is M x N with one column per scheduled receiver;
-    requires N <= M and linearly independent columns.  Satisfies
-    H^H W = I up to ``TOL.zf_residual``.
+    requires N <= M and linearly independent columns.  The result is checked:
+    ``max |H^H W - I| <= TOL.zf_residual``, or PrecoderSingularError is
+    raised, which also covers a singular Gram matrix.
     """
     h = np.asarray(channel_matrix, dtype=complex)
     if h.ndim != 2:
@@ -59,12 +63,17 @@ def zf_precoder(channel_matrix: np.ndarray) -> ZfPrecoder:
         raise PrecoderSingularError(
             f"cannot zero-force {num_rx} receivers with {num_tx} transmitters"
         )
-    gram = h.conj().T @ h
     if num_rx == 0:
         return ZfPrecoder(h.copy(), h.copy(), np.zeros(0))
-    if np.linalg.cond(gram) > TOL.condition_limit:
+    h_herm = h.conj().T
+    identity = np.eye(num_rx, dtype=complex)
+    try:
+        w = h @ np.linalg.solve(h_herm @ h, identity)
+    except np.linalg.LinAlgError as exc:
+        raise PrecoderSingularError("stacked channel vectors are rank deficient") from exc
+    # a near-singular Gram matrix leaves cross-talk (or NaN) in H^H W
+    if not np.max(np.abs(h_herm @ w - identity)) <= TOL.zf_residual:
         raise PrecoderSingularError("stacked channel vectors are rank deficient")
-    w = h @ np.linalg.solve(gram, np.eye(num_rx, dtype=complex))
     norms_sq = np.sum(np.abs(w) ** 2, axis=0)
     normalized = w / np.sqrt(norms_sq)
     return ZfPrecoder(matrix=w, normalized=normalized, norms_sq=norms_sq)
@@ -80,21 +89,37 @@ def gs_residual(vector: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the square real system Ax = b, refusing ill-conditioned inputs."""
+    """Solve the square real system Ax = b, refusing untrustworthy results.
+
+    Raises SingularSystemError when the LU factors are singular, when the
+    LAPACK 1-norm condition estimate exceeds ``TOL.condition_limit``, or when
+    the residual ||Ax - b|| exceeds ``TOL.linsolve_rel`` * ||b||.  The
+    estimate (xGECON, Higham 1988) costs O(n^2) on top of the factorisation.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if a.shape[0] == 0:
         return np.zeros(0)
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
+    if not np.isfinite(a).all() or not np.isfinite(b).all():
         raise ValueError("non-finite entries in linear system")
-    if np.linalg.cond(a) > TOL.condition_limit:
+    lu, _, info = lapack.dgetrf(a)
+    if info > 0:
+        raise SingularSystemError("system is singular")
+    rcond, _ = lapack.dgecon(lu, lapack.dlange("1", a))
+    if not rcond * TOL.condition_limit >= 1.0:
         raise SingularSystemError("system is numerically singular")
     try:
-        return np.linalg.solve(a, b)
+        # x from numpy's solver, not from the factors above: scipy's LAPACK
+        # build may round the last bit differently
+        x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
+    residual = a @ x - b
+    if not residual @ residual <= TOL.linsolve_rel**2 * (b @ b):
+        raise SingularSystemError("residual of the solve exceeds its tolerance")
+    return x
 
 
 @dataclass
@@ -105,38 +130,42 @@ class BipartiteGraph:
     num_right: int
     edges: list = field(default_factory=list)  # (left, right, weight >= 0)
 
-    def validate(self) -> None:
-        seen = set()
-        for left, right, weight in self.edges:
-            if not 0 <= left < self.num_left or not 0 <= right < self.num_right:
-                raise ValueError(f"edge ({left}, {right}) out of range")
-            if (left, right) in seen:
-                raise ValueError(f"duplicate edge ({left}, {right})")
-            seen.add((left, right))
-            if math.isnan(weight):
-                raise ValueError(f"edge ({left}, {right}) has NaN weight")
-            if weight < 0:
-                raise ValueError(f"edge ({left}, {right}) has negative weight")
+    def weight_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Validated dense weight matrix and edge mask, num_left x num_right."""
+        shape = (self.num_left, self.num_right)
+        weights, is_edge = np.zeros(shape), np.zeros(shape, dtype=bool)
+        if not self.edges:
+            return weights, is_edge
+        left, right, weight = zip(*self.edges)
+        if (
+            min(left) < 0 or max(left) >= self.num_left
+            or min(right) < 0 or max(right) >= self.num_right
+        ):
+            raise ValueError("edge endpoint out of range")
+        index = (np.array(left), np.array(right))
+        weights[index] = weight
+        is_edge[index] = True
+        if np.count_nonzero(is_edge) < len(self.edges):
+            raise ValueError("duplicate edge")
+        if not weights.min() >= 0.0:  # NaN fails the comparison too
+            kind = "NaN" if np.isnan(weights).any() else "negative"
+            raise ValueError(f"edge with {kind} weight")
+        return weights, is_edge
 
 
 def max_weight_matching(graph: BipartiteGraph) -> list[tuple[int, int]]:
-    """Vertex-disjoint edge set of maximum total weight.
+    """Vertex-disjoint edge set of maximum total weight, sorted by left vertex.
 
     Solved as a rectangular assignment over the dense weight matrix with
     non-edges pinned at zero; optimal assignments restricted to real edges
     are exactly the maximum-weight matchings when weights are non-negative.
     """
-    graph.validate()
-    if not graph.edges or graph.num_left == 0 or graph.num_right == 0:
+    weights, is_edge = graph.weight_matrix()
+    if not graph.edges:
         return []
-    weights = np.zeros((graph.num_left, graph.num_right))
-    is_edge = np.zeros((graph.num_left, graph.num_right), dtype=bool)
-    for left, right, weight in graph.edges:
-        weights[left, right] = weight
-        is_edge[left, right] = True
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if is_edge[i, j]]
-    return sorted(pairs)
+    rows, cols = linear_sum_assignment(weights, maximize=True)  # rows ascending
+    keep = is_edge[rows, cols]
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 def matching_weight(graph: BipartiteGraph, pairs) -> float:

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from d2dcache import harness, ndl, numerics
 from d2dcache.content import ContentState, derive_group_sets
@@ -785,6 +786,168 @@ def test_removal_solve_count_is_logarithmic(monkeypatch):
         calls.clear()
         out = check_and_remove(links, gains, NOISE, targets, PMAX)
         assert len(calls) <= 1 + math.ceil(math.log2(n)), (n, out.iterations, calls)
+
+
+# --- reference: the SVD-guarded, compact-rescoring removal that was replaced ---------
+
+
+def svd_guarded_min_powers(gains, noise, targets):
+    """Reference admission solve: refused when the SVD condition number of
+    the system exceeds ``TOL.condition_limit``, with no residual check."""
+    if not gains.shape[0]:
+        return np.zeros(0)
+    system = -gains.T.copy()
+    np.fill_diagonal(system, np.diag(gains) / targets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = np.linalg.cond(system)
+    if condition > TOL.condition_limit:
+        return None
+    try:
+        return np.linalg.solve(system, noise)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def compact_removal_order(gains, noise_w, sinr_targets, pmax_w):
+    """Reference removal order: each step rescored on the gathered alive block."""
+    own_min = noise_w * sinr_targets / np.diag(gains)
+    tolerance = sinr_targets / pmax_w
+    cross = gains.copy()
+    np.fill_diagonal(cross, 0.0)
+    alive = np.arange(gains.shape[0])
+    order = []
+    while alive.size:
+        sub = cross[np.ix_(alive, alive)]
+        injected = own_min[alive] * (sub @ tolerance[alive])
+        absorbed = tolerance[alive] * (sub.T @ own_min[alive])
+        worst = int(np.argmax(np.maximum(injected, absorbed)))
+        order.append(int(alive[worst]))
+        alive = np.delete(alive, worst)
+    return order
+
+
+def reference_check_and_remove(links, gain_matrix, noise_w, sinr_targets, pmax_w):
+    """Reference bisection removal on the two references above; returns the
+    outcome and the removal order (None when the full set is admitted)."""
+    n = len(links)
+    gains = np.asarray(gain_matrix, dtype=float)
+    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
+    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
+    pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,))
+
+    def admit(alive):
+        sub = gains[np.ix_(alive, alive)]
+        powers = svd_guarded_min_powers(sub, noise[alive], targets[alive])
+        feasible = powers is not None and bool(
+            np.all(powers >= 0.0)
+            and np.all(powers <= pmax[alive] * (1.0 + TOL.power_feasibility_rel))
+        )
+        kept = [links[i] for i in alive]
+        return feasible, RemovalOutcome(kept, sub, targets[alive], powers, n - len(alive))
+
+    feasible, outcome = admit(np.arange(n))
+    if feasible:
+        return outcome, None
+    order = compact_removal_order(gains, noise, targets, pmax)
+    lo, hi = 0, n
+    _, outcome = admit(np.arange(0))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        feasible, trial = admit(np.sort(order[mid:]))
+        if feasible:
+            hi, outcome = mid, trial
+        else:
+            lo = mid
+    return outcome, order
+
+
+def assert_same_outcome(ours, ref):
+    assert ours.kept == ref.kept
+    assert ours.iterations == ref.iterations
+    assert ours.gain_matrix.shape == ref.gain_matrix.shape
+    assert ours.gain_matrix.tobytes() == ref.gain_matrix.tobytes()
+    assert ours.sinr_targets.tobytes() == ref.sinr_targets.tobytes()
+    assert ours.min_powers_w.tobytes() == ref.min_powers_w.tobytes()
+
+
+def guard_verdicts(gains, noise, targets):
+    """Which guards refuse the admission system of one link set: the
+    reference SVD condition number, the LU condition estimate alone, and
+    :func:`numerics.solve_linear` as a whole (estimate and residual)."""
+    system = ndl.admission_system(gains, targets)
+    lu, _, info = lapack.dgetrf(system)
+    estimate = info > 0 or (
+        lapack.dgecon(lu, lapack.dlange("1", system))[0] * TOL.condition_limit < 1.0
+    )
+    try:
+        numerics.solve_linear(system, noise)
+        refused = False
+    except numerics.SingularSystemError:
+        refused = True
+    return svd_guarded_min_powers(gains, noise, targets) is None, estimate, refused
+
+
+def test_removal_matches_svd_guarded_reference():
+    rng = np.random.default_rng(12)  # the instances of the bisection test above
+    disagreements = Counter()
+    for trial in range(3000):
+        kind = trial % 4
+        links, gains, targets = removal_instance(rng, kind)
+        n = len(links)
+        noise, pmax = np.full(n, NOISE), np.full(n, PMAX)
+        ref, ref_order = reference_check_and_remove(links, gains, noise, targets, pmax)
+        assert_same_outcome(check_and_remove(links, gains, NOISE, targets, PMAX), ref)
+        if ref_order is None:
+            ref_order = compact_removal_order(gains, noise, targets, pmax)
+        assert ndl.removal_order(gains, noise, targets, pmax) == ref_order
+        svd, estimate, refused = guard_verdicts(gains, noise, targets)
+        if svd != estimate:
+            disagreements[kind, "estimate"] += 1
+        elif refused != svd:
+            disagreements[kind, "residual"] += 1
+    # the guards part only on the systems built to sit next to singularity
+    assert {kind for kind, _ in disagreements} <= {3}, disagreements
+
+
+def test_pipeline_removal_matches_svd_guarded_reference(monkeypatch):
+    remove = ndl.check_and_remove
+    solve = numerics.solve_linear
+    seen = Counter()
+
+    def checking(links, gains, noise_w, sinr_targets, pmax_w):
+        ours = remove(links, gains, noise_w, sinr_targets, pmax_w)
+        n = len(links)
+        noise, pmax = np.full(n, noise_w), np.full(n, pmax_w)
+        ref, ref_order = reference_check_and_remove(links, gains, noise, sinr_targets, pmax)
+        assert_same_outcome(ours, ref)
+        if ref_order is None:
+            ref_order = compact_removal_order(gains, noise, sinr_targets, pmax)
+        assert ndl.removal_order(gains, noise, sinr_targets, pmax) == ref_order
+        seen["removals"] += ours.iterations > 0
+        return ours
+
+    def comparing(a, b):
+        # the reference guard must agree, and solve accepted systems identically
+        with np.errstate(divide="ignore", invalid="ignore"):
+            svd_refuses = np.linalg.cond(a) > TOL.condition_limit
+        try:
+            x = solve(a, b)
+        except numerics.SingularSystemError:
+            seen["refused"] += 1
+            assert svd_refuses
+            raise
+        assert not svd_refuses
+        assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+        seen["solved"] += 1
+        return x
+
+    monkeypatch.setattr(ndl, "check_and_remove", checking)
+    monkeypatch.setattr(numerics, "solve_linear", comparing)
+    config = harness.SimConfig()
+    for num_users, mode, beta in REFERENCE_CELLS:
+        for seed in range(1, 201):
+            harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
+    assert seen["removals"] > 100, seen
 
 
 # --- rates and max-min power allocation ------------------------------------------------

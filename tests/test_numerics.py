@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dcache import harness, numerics
 from d2dcache.numerics import (
     TOL,
     BipartiteGraph,
@@ -73,6 +76,78 @@ def test_zf_rejects_rank_deficiency():
         zf_precoder(np.ones((2, 3), dtype=complex))  # more receivers than transmitters
 
 
+def test_zf_rejects_nearly_duplicate_columns():
+    rng = np.random.default_rng(8)
+    h = random_complex(rng, (4, 3))
+    h[:, 2] = h[:, 1] + 1e-12
+    with pytest.raises(PrecoderSingularError):
+        zf_precoder(h)
+
+
+def test_zf_residual_certificate_fires(monkeypatch):
+    rng = np.random.default_rng(9)
+    h = random_complex(rng, (4, 3))
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    with pytest.raises(PrecoderSingularError):
+        zf_precoder(h)
+
+
+def svd_guarded_zf(h):
+    """Reference precoder matrix: refused (None) when the SVD condition number
+    of the Gram matrix exceeds ``TOL.condition_limit``, with no residual check."""
+    gram = h.conj().T @ h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.linalg.cond(gram) > TOL.condition_limit:
+            return None
+    return h @ np.linalg.solve(gram, np.eye(h.shape[1], dtype=complex))
+
+
+def zf_verdict_against_reference(h):
+    """(reference refuses, zf_precoder refuses); equal matrices when both accept."""
+    ref = svd_guarded_zf(h)
+    try:
+        ours = zf_precoder(h).matrix
+    except PrecoderSingularError:
+        return ref is None, True
+    if ref is not None:
+        assert ours.tobytes() == ref.tobytes()
+    return ref is None, False
+
+
+def test_zf_matches_svd_guarded_reference_on_random_channels():
+    # criterion 1's draws: path-loss scaled channels, 2..6 antennas
+    rng = np.random.default_rng(101)
+    disagreements = 0
+    for _ in range(5000):
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(1, m + 1))
+        d = rng.uniform(15.0, 80.0, (m, n))
+        amp = np.sqrt(10 ** (-(37.6 + 36.8 * np.log10(d)) / 10) / 2)
+        ref_refuses, refuses = zf_verdict_against_reference(amp * random_complex(rng, (m, n)))
+        disagreements += ref_refuses != refuses
+    assert disagreements == 0
+
+
+def test_zf_matches_svd_guarded_reference_on_pipeline_drops(monkeypatch):
+    precoder = numerics.zf_precoder
+    seen = Counter()
+
+    def comparing(h):
+        ref_refuses, refuses = zf_verdict_against_reference(h)
+        seen["calls"] += 1
+        seen["disagreements"] += ref_refuses != refuses
+        return precoder(h)
+
+    monkeypatch.setattr(numerics, "zf_precoder", comparing)
+    config = harness.SimConfig()
+    for num_users, beta in ((30, 1.2), (20, 0.6), (40, 1.6)):
+        for seed in range(1, 201):
+            harness.run_drop(config, seed, num_users=num_users, beta=beta, mode="coop")
+    assert seen["calls"] > 1000
+    assert seen["disagreements"] == 0, seen
+
+
 # --- Gram-Schmidt residual ---------------------------------------------------
 
 
@@ -141,6 +216,15 @@ def test_solve_random_residual():
         assert np.linalg.norm(a @ x - b) <= TOL.linsolve_rel * np.linalg.norm(b)
 
 
+def test_solve_residual_certificate_fires(monkeypatch):
+    a = np.array([[4.0, 1.0], [2.0, 3.0]])
+    b = np.array([1.0, 2.0])
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    with pytest.raises(SingularSystemError):
+        solve_linear(a, b)
+
+
 def test_solve_rejects_singular_and_ill_conditioned():
     with pytest.raises(SingularSystemError):
         solve_linear(np.zeros((2, 2)), np.ones(2))
@@ -198,6 +282,13 @@ def test_matching_rejects_bad_edges():
         max_weight_matching(BipartiteGraph(1, 1, [(0, 0, -1.0)]))
     with pytest.raises(ValueError):
         max_weight_matching(BipartiteGraph(1, 1, [(0, 0, 1.0), (0, 0, 2.0)]))
+
+
+def test_matching_rejects_out_of_range_edges():
+    for edge in ((1, 0, 1.0), (0, 2, 1.0), (-1, 0, 1.0), (0, -1, 1.0)):
+        with pytest.raises(ValueError):
+            max_weight_matching(BipartiteGraph(1, 2, [(0, 0, 1.0), edge]))
+    assert max_weight_matching(BipartiteGraph(2, 2, [])) == []
 
 
 def test_matching_equals_bruteforce_seeded():
