@@ -1,19 +1,10 @@
-"""File catalog, Zipf demand, random caching, user classes and coop-group choice."""
+"""File catalog, Zipf demand, random caching and coop-group choice."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-CLASS_SELF_SATISFIED = "self-satisfied"
-CLASS_D2D = "d2d"
-CLASS_CELLULAR = "cellular"
-CLASS_IDLE = "idle-beyond-popular"
-
-
-class NoCooperationPossibleError(RuntimeError):
-    """Raised when every file group has zero unserved demand."""
 
 
 @dataclass
@@ -79,75 +70,24 @@ def draw_requests(
     return request, files.astype(int)
 
 
-def requested_groups(request: np.ndarray) -> np.ndarray:
-    """Per-user requested group index, -1 where the request row is all zero."""
-    groups = np.full(request.shape[0], -1, dtype=int)
-    rows, cols = np.nonzero(request)
-    groups[rows] = cols
-    return groups
+def select_coop_group(demand_counts: np.ndarray) -> int | None:
+    """Index of the most demanded group; ties break toward the lowest index.
 
-
-def derive_group_sets(cache: np.ndarray, request: np.ndarray):
-    """Caching sets M_g and unserved-demand sets N_g for every group."""
-    num_groups = cache.shape[1]
-    caching = [np.flatnonzero(cache[:, g]) for g in range(num_groups)]
-    demand = [
-        np.flatnonzero((request[:, g] == 1) & (cache[:, g] == 0))
-        for g in range(num_groups)
-    ]
-    return caching, demand
-
-
-def classify_users(
-    cache: np.ndarray,
-    request: np.ndarray,
-    distances: np.ndarray,
-    d2d_radius_m: float,
-    coop_group: int | None = None,
-) -> list[str]:
-    """Coarse per-user service class before scheduling.
-
-    A requester of the cooperative group counts as d2d whenever that group is
-    cached by anyone (it is a CR candidate regardless of distance); other
-    requesters need a cacher of their group within the D2D radius.
+    ``None`` when no group has unserved demand.
     """
-    groups = requested_groups(request)
-    users = np.arange(cache.shape[0])
-    group = np.maximum(groups, 0)
-    cached = cache == 1
-    # near_cacher[k, g]: some cacher of group g is within range of user k
-    near_cacher = (distances < d2d_radius_m) @ cached
-    # all False when coop_group is None
-    coop_reachable = (groups == coop_group) & cached.any(axis=0)[group]
-    classes = np.select(
-        [groups < 0, cached[users, group], coop_reachable | near_cacher[users, group]],
-        [CLASS_IDLE, CLASS_SELF_SATISFIED, CLASS_D2D],
-        CLASS_CELLULAR,
-    )
-    return classes.tolist()
-
-
-def select_coop_group(demand_sets) -> int:
-    """Index of the most demanded group; ties break toward the lowest index."""
-    sizes = [len(s) for s in demand_sets]
-    if max(sizes, default=0) == 0:
-        raise NoCooperationPossibleError("no file group has unserved demand")
-    return int(np.argmax(sizes))
+    if not np.any(demand_counts):
+        return None
+    return int(np.argmax(demand_counts))
 
 
 @dataclass
 class ContentState:
-    """Caches, requests and derived scheduling sets for one drop."""
+    """What one drop drew and decided: caches, requests and the cooperative
+    group.  Every other view is derived from these three on demand."""
 
     cache: np.ndarray          # K x G one-hot
     request: np.ndarray        # K x G, rows sum to 0 or 1
-    requested_file: np.ndarray  # 1-based file ranks, (K,)
-    requested_group: np.ndarray  # (K,), -1 beyond the popular set
-    mode: np.ndarray           # (G,) transmission-mode indicators
-    coop_group: int | None
-    caching_sets: list = field(repr=False)
-    demand_sets: list = field(repr=False)
-    classes: list[str] = field(repr=False)
+    coop_group: int | None = None
 
     @property
     def num_users(self) -> int:
@@ -157,12 +97,42 @@ class ContentState:
     def num_groups(self) -> int:
         return self.cache.shape[1]
 
+    @property
+    def unserved(self) -> np.ndarray:
+        """K x G: user k requests group g and does not cache it."""
+        return (self.request == 1) & (self.cache == 0)
+
+    @property
+    def requested_group(self) -> np.ndarray:
+        """Per-user requested group index, -1 where the request row is all zero."""
+        groups = np.full(self.num_users, -1, dtype=int)
+        rows, cols = np.nonzero(self.request)
+        groups[rows] = cols
+        return groups
+
+    @property
+    def mode(self) -> np.ndarray:
+        """(G,) transmission-mode indicators: 1 on the cooperative group only."""
+        mode = np.zeros(self.num_groups, dtype=np.int8)
+        if self.coop_group is not None:
+            mode[self.coop_group] = 1
+        return mode
+
+    @property
+    def caching_sets(self) -> list:
+        """Caching set M_g (the users caching group g) for every group."""
+        return [np.flatnonzero(column) for column in self.cache.T]
+
+    @property
+    def demand_sets(self) -> list:
+        """Unserved-demand set N_g (requesters not caching g) for every group."""
+        return [np.flatnonzero(column) for column in self.unserved.T]
+
 
 def build_content_state(
     catalog: Catalog,
     rng: np.random.Generator,
-    distances: np.ndarray,
-    d2d_radius_m: float,
+    num_users: int,
     cooperate: bool = True,
 ) -> ContentState:
     """Roll caches and requests for one drop and pick the cooperative group.
@@ -170,29 +140,9 @@ def build_content_state(
     The random draws do not depend on ``cooperate``, so coop and no-coop runs
     with the same generator state see identical caches and requests.
     """
-    num_users = distances.shape[0]
     cache = place_caches(num_users, catalog, rng)
-    request, files = draw_requests(num_users, catalog, rng)
-    caching_sets, demand_sets = derive_group_sets(cache, request)
-
-    coop_group: int | None = None
-    mode = np.zeros(catalog.num_groups, dtype=np.int8)
+    request, _ = draw_requests(num_users, catalog, rng)
+    state = ContentState(cache, request)
     if cooperate:
-        try:
-            coop_group = select_coop_group(demand_sets)
-            mode[coop_group] = 1
-        except NoCooperationPossibleError:
-            coop_group = None
-
-    classes = classify_users(cache, request, distances, d2d_radius_m, coop_group)
-    return ContentState(
-        cache=cache,
-        request=request,
-        requested_file=files,
-        requested_group=requested_groups(request),
-        mode=mode,
-        coop_group=coop_group,
-        caching_sets=caching_sets,
-        demand_sets=demand_sets,
-        classes=classes,
-    )
+        state.coop_group = select_coop_group(state.unserved.sum(axis=0))
+    return state

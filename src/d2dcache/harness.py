@@ -1,5 +1,5 @@
-"""Monte Carlo driver: configuration, drop execution, the no-cooperation
-baseline, parameter sweeps, aggregation and CSV emission."""
+"""Monte Carlo driver: configuration, drop execution, user classification,
+the no-cooperation baseline, parameter sweeps, aggregation and CSV emission."""
 
 from __future__ import annotations
 
@@ -13,13 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .cdl import CdlConfig, CdlSchedule, schedule_cdl
-from .content import (
-    CLASS_CELLULAR,
-    CLASS_SELF_SATISFIED,
-    Catalog,
-    ContentState,
-    build_content_state,
-)
+from .content import Catalog, ContentState, build_content_state
 from .ndl import NdlConfig, NdlSchedule, schedule_ndl
 from .topology import SimGeometry, Topology, build_topology
 
@@ -46,7 +40,10 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return _is_integer(value) or isinstance(value, (float, np.floating))
+    # json.load accepts NaN and Infinity, so floats must also be finite
+    return _is_integer(value) or (
+        isinstance(value, (float, np.floating)) and np.isfinite(value)
+    )
 
 
 @dataclass
@@ -87,7 +84,9 @@ class SimConfig:
             if f.type == "int" and not _is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not _is_real(value):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
         if not isinstance(self.user_counts, list) or not all(
             map(_is_integer, self.user_counts)
         ):
@@ -192,6 +191,37 @@ class DropResult:
     metrics: DropMetrics
 
 
+# Per-user service class codes, as returned by classify_users.
+CLASS_IDLE = 0            # request beyond the popular set
+CLASS_SELF_SATISFIED = 1  # caches the group it requests
+CLASS_D2D = 2
+CLASS_CELLULAR = 3
+
+
+def classify_users(
+    content: ContentState, distances: np.ndarray, d2d_radius_m: float
+) -> np.ndarray:
+    """Coarse per-user service class code (``CLASS_*``) before scheduling.
+
+    A requester of the cooperative group counts as d2d whenever that group is
+    cached by anyone (it is a CR candidate regardless of distance); other
+    requesters need a cacher of their group within the D2D radius.
+    """
+    groups = content.requested_group
+    users = np.arange(content.num_users)
+    group = np.maximum(groups, 0)
+    cached = content.cache == 1
+    # near_cacher[k]: some cacher of k's requested group is within range of k
+    near_cacher = ((distances < d2d_radius_m) & cached[:, group].T).any(axis=1)
+    # all False when coop_group is None
+    coop_reachable = (groups == content.coop_group) & cached.any(axis=0)[group]
+    return np.select(
+        [groups < 0, cached[users, group], coop_reachable | near_cacher],
+        [CLASS_IDLE, CLASS_SELF_SATISFIED, CLASS_D2D],
+        CLASS_CELLULAR,
+    )
+
+
 def run_pipeline(
     topology: Topology,
     content: ContentState,
@@ -204,10 +234,11 @@ def run_pipeline(
     if mode == "coop":
         # band split is preset and fixed, even on drops with no coop group
         ndl_bandwidth = config.ndl_bandwidth_hz
-        if content.coop_group is not None:
+        group = content.coop_group
+        if group is not None:
             cdl_schedule = schedule_cdl(
-                content.caching_sets[content.coop_group],
-                content.demand_sets[content.coop_group],
+                np.flatnonzero(content.cache[:, group]),
+                np.flatnonzero(content.unserved[:, group]),
                 topology,
                 config.cdl_config(),
             )
@@ -227,6 +258,7 @@ def run_pipeline(
         topology, content, config.ndl_config(ndl_bandwidth), excluded
     )
 
+    classes = classify_users(content, topology.distances, config.d2d_radius_m)
     cdl_rate = cdl_schedule.sum_rate_bps
     ndl_rate = ndl_schedule.sum_rate_bps
     metrics = DropMetrics(
@@ -235,8 +267,8 @@ def run_pipeline(
         cdl_sum_rate_bps=cdl_rate,
         ndl_sum_rate_bps=ndl_rate,
         throughput_bps=cdl_rate + ndl_rate,
-        self_satisfied=content.classes.count(CLASS_SELF_SATISFIED),
-        cellular=content.classes.count(CLASS_CELLULAR),
+        self_satisfied=int(np.count_nonzero(classes == CLASS_SELF_SATISFIED)),
+        cellular=int(np.count_nonzero(classes == CLASS_CELLULAR)),
         removal_iterations=ndl_schedule.removal_iterations,
     )
     return DropResult(topology, content, cdl_schedule, ndl_schedule, metrics)
@@ -266,7 +298,7 @@ def simulate_drop(
     rng = np.random.default_rng(seed)
     topology = build_topology(geometry, rng)
     content = build_content_state(
-        catalog, rng, topology.distances, config.d2d_radius_m, cooperate=mode == "coop"
+        catalog, rng, geometry.num_users, cooperate=mode == "coop"
     )
     return run_pipeline(topology, content, config, mode)
 

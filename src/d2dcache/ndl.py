@@ -64,7 +64,7 @@ def build_candidates(
     allowed = np.ones(topology.num_users, dtype=bool)
     allowed[list(excluded)] = False
     # unserved demand of a group left to the NDLs
-    wants = (content.request == 1) & (content.cache == 0) & (content.mode == 0)
+    wants = content.unserved & (content.mode == 0)
     receiving = wants.any(axis=1) & allowed
     return (
         (content.cache[:, content.requested_group] == 1)
@@ -410,10 +410,6 @@ class NdlSchedule:
     @property
     def receivers(self) -> list[int]:
         return [rx for _, rx in self.links]
-
-    @property
-    def pairing(self) -> dict:
-        return {rx: tx for tx, rx in self.links}
 
     @property
     def num_served(self) -> int:

@@ -103,6 +103,11 @@ def test_invalid_config_value_fails(tmp_path, capsys):
         {"betas": ["0.6"]},
         {"user_counts": 8},
         {"user_counts": [8.0]},
+        {"allow_full_rank": "false"},
+        {"cdl_bandwidth_hz": float("nan")},
+        {"rmin_bps_per_hz": float("inf")},
+        {"pmax_dbm": float("nan")},
+        {"betas": [float("nan")]},
     ],
 )
 def test_wrongly_typed_config_value_fails(tmp_path, capsys, extra):

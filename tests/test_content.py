@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dcache.content import (
-    CLASS_CELLULAR,
-    CLASS_D2D,
-    CLASS_IDLE,
-    CLASS_SELF_SATISFIED,
     Catalog,
-    NoCooperationPossibleError,
+    ContentState,
     build_content_state,
-    classify_users,
-    derive_group_sets,
     draw_requests,
     file_request_probs,
     place_caches,
     select_coop_group,
+)
+from d2dcache.harness import (
+    CLASS_CELLULAR,
+    CLASS_D2D,
+    CLASS_IDLE,
+    CLASS_SELF_SATISFIED,
+    classify_users,
 )
 
 DEFAULT = Catalog(num_files=200, cache_size=10, num_popular=100, zipf_beta=0.8)
@@ -116,9 +118,9 @@ def test_cache_rows_are_one_hot_and_sets_disjoint():
     cache = place_caches(300, DEFAULT, rng)
     request, _ = draw_requests(300, DEFAULT, rng)
     assert np.all(cache.sum(axis=1) == 1)
-    caching, demand = derive_group_sets(cache, request)
-    for g in range(DEFAULT.num_groups):
-        assert set(caching[g]).isdisjoint(demand[g])
+    state = ContentState(cache, request)
+    for caching, demand in zip(state.caching_sets, state.demand_sets):
+        assert set(caching).isdisjoint(demand)
 
 
 def three_user_instance():
@@ -133,13 +135,13 @@ def three_user_instance():
 
 def test_classify_self_satisfied():
     cache, request, distances = three_user_instance()
-    classes = classify_users(cache, request, distances, 30.0)
+    classes = classify_users(ContentState(cache, request), distances, 30.0)
     assert classes[2] == CLASS_SELF_SATISFIED
 
 
 def test_classify_d2d_with_supplier_in_range():
     cache, request, distances = three_user_instance()
-    classes = classify_users(cache, request, distances, 30.0)
+    classes = classify_users(ContentState(cache, request), distances, 30.0)
     assert classes[0] == CLASS_D2D  # user 1 caches g1 at 10 m
     assert classes[1] == CLASS_IDLE
 
@@ -147,19 +149,19 @@ def test_classify_d2d_with_supplier_in_range():
 def test_classify_cellular_without_cooperation():
     cache, request, distances = three_user_instance()
     distances[0, 1] = distances[1, 0] = 80.0  # push the only supplier out of range
-    classes = classify_users(cache, request, distances, 30.0)
+    classes = classify_users(ContentState(cache, request), distances, 30.0)
     assert classes[0] == CLASS_CELLULAR
 
 
 def test_classify_coop_group_requester_is_d2d_regardless_of_range():
     cache, request, distances = three_user_instance()
     distances[0, 1] = distances[1, 0] = 80.0
-    classes = classify_users(cache, request, distances, 30.0, coop_group=1)
+    classes = classify_users(ContentState(cache, request, 1), distances, 30.0)
     assert classes[0] == CLASS_D2D
 
 
 def classify_loop(cache, request, distances, d2d_radius_m, coop_group=None):
-    """Reference classification, one user at a time."""
+    """Reference classification codes, one user at a time."""
     groups = request.argmax(axis=1)
     classes = []
     for k in range(cache.shape[0]):
@@ -179,6 +181,11 @@ def classify_loop(cache, request, distances, d2d_radius_m, coop_group=None):
     return classes
 
 
+def random_distances(rng, k):
+    positions = rng.uniform(0, 100, (k, 2))
+    return np.sqrt(((positions[:, None] - positions[None]) ** 2).sum(-1))
+
+
 def test_classify_matches_per_user_loop():
     rng = np.random.default_rng(9)
     catalog = Catalog(num_files=60, cache_size=5, num_popular=30, zipf_beta=0.8)
@@ -186,30 +193,27 @@ def test_classify_matches_per_user_loop():
         k = int(rng.integers(2, 40))
         cache = place_caches(k, catalog, rng)
         request, _ = draw_requests(k, catalog, rng)
-        positions = rng.uniform(0, 100, (k, 2))
-        distances = np.sqrt(((positions[:, None] - positions[None]) ** 2).sum(-1))
+        distances = random_distances(rng, k)
         coop = None if trial % 3 == 0 else int(rng.integers(0, catalog.num_groups))
         radius = float(rng.uniform(5.0, 60.0))
         expected = classify_loop(cache, request, distances, radius, coop)
-        assert classify_users(cache, request, distances, radius, coop) == expected
+        state = ContentState(cache, request, coop)
+        assert classify_users(state, distances, radius).tolist() == expected
 
 
 def test_select_coop_group_examples():
-    assert select_coop_group([[1, 2, 3], [1] * 7, [1, 2]]) == 1
-    assert select_coop_group([[0] * 5, [0] * 5, [0]]) == 0  # tie -> lowest index
-    with pytest.raises(NoCooperationPossibleError):
-        select_coop_group([[], [], []])
+    assert select_coop_group(np.array([3, 7, 2])) == 1
+    assert select_coop_group(np.array([5, 5, 1])) == 0  # tie -> lowest index
+    assert select_coop_group(np.zeros(3, dtype=int)) is None
 
 
 @given(sizes=st.lists(st.integers(0, 9), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_select_coop_group_matches_bruteforce(sizes):
-    sets = [list(range(s)) for s in sizes]
+    got = select_coop_group(np.array(sizes))
     if max(sizes) == 0:
-        with pytest.raises(NoCooperationPossibleError):
-            select_coop_group(sets)
+        assert got is None
         return
-    got = select_coop_group(sets)
     best = max(sizes)
     assert sizes[got] == best
     assert all(sizes[i] < best for i in range(got))
@@ -217,9 +221,7 @@ def test_select_coop_group_matches_bruteforce(sizes):
 
 def test_build_content_state_modes():
     rng = np.random.default_rng(8)
-    distances = np.random.default_rng(0).uniform(1, 100, (30, 30))
-    np.fill_diagonal(distances, 0.0)
-    state = build_content_state(DEFAULT, rng, distances, 30.0, cooperate=True)
+    state = build_content_state(DEFAULT, rng, 30, cooperate=True)
     if state.coop_group is not None:
         assert state.mode.sum() == 1
         assert state.mode[state.coop_group] == 1
@@ -227,12 +229,105 @@ def test_build_content_state_modes():
             len(s) for s in state.demand_sets
         )
     rng2 = np.random.default_rng(8)
-    state2 = build_content_state(DEFAULT, rng2, distances, 30.0, cooperate=False)
+    state2 = build_content_state(DEFAULT, rng2, 30, cooperate=False)
     assert state2.coop_group is None
     assert state2.mode.sum() == 0
     # identical draws regardless of the cooperate flag
     assert np.array_equal(state.cache, state2.cache)
     assert np.array_equal(state.request, state2.request)
+
+
+# --- references: the list-based content logic the derived views replaced ------------
+
+
+def reference_group_sets(cache, request):
+    """Caching sets M_g and unserved-demand sets N_g, one group at a time."""
+    num_groups = cache.shape[1]
+    caching = [np.flatnonzero(cache[:, g]) for g in range(num_groups)]
+    demand = [
+        np.flatnonzero((request[:, g] == 1) & (cache[:, g] == 0))
+        for g in range(num_groups)
+    ]
+    return caching, demand
+
+
+def reference_requested_groups(request):
+    """Per-user requested group index, -1 where the request row is all zero."""
+    groups = np.full(request.shape[0], -1, dtype=int)
+    rows, cols = np.nonzero(request)
+    groups[rows] = cols
+    return groups
+
+
+LABELS = {
+    CLASS_SELF_SATISFIED: "self-satisfied",
+    CLASS_D2D: "d2d",
+    CLASS_CELLULAR: "cellular",
+    CLASS_IDLE: "idle-beyond-popular",
+}
+
+
+def reference_classes(cache, request, distances, d2d_radius_m, coop_group=None):
+    """String class labels, from one K x G "cacher of the group in range" matrix."""
+    groups = reference_requested_groups(request)
+    users = np.arange(cache.shape[0])
+    group = np.maximum(groups, 0)
+    cached = cache == 1
+    near_cacher = (distances < d2d_radius_m) @ cached
+    coop_reachable = (groups == coop_group) & cached.any(axis=0)[group]
+    classes = np.select(
+        [groups < 0, cached[users, group], coop_reachable | near_cacher[users, group]],
+        ["idle-beyond-popular", "self-satisfied", "d2d"],
+        "cellular",
+    )
+    return classes.tolist()
+
+
+def reference_coop_group(demand_sets):
+    """Most demanded group by set size, or None when every set is empty."""
+    sizes = [len(s) for s in demand_sets]
+    if max(sizes, default=0) == 0:
+        return None
+    return int(np.argmax(sizes))
+
+
+def test_derived_views_match_list_references():
+    rng = np.random.default_rng(23)
+    catalogs = [
+        DEFAULT,
+        Catalog(zipf_beta=1.6),
+        Catalog(num_files=20, cache_size=10, num_popular=10),  # one group
+    ]
+    draws = 0
+    for k, catalog, cooperate in itertools.product(
+        (2, 20, 30, 100), catalogs, (True, False)
+    ):
+        for _ in range(45):
+            state = build_content_state(catalog, rng, k, cooperate)
+            caching, demand = reference_group_sets(state.cache, state.request)
+            assert len(state.caching_sets) == len(state.demand_sets) == len(caching)
+            for got, want in zip(state.caching_sets, caching):
+                assert np.array_equal(got, want)
+            for got, want in zip(state.demand_sets, demand):
+                assert np.array_equal(got, want)
+            coop = reference_coop_group(demand) if cooperate else None
+            assert state.coop_group == coop
+            mode = np.zeros(catalog.num_groups, dtype=np.int8)
+            if coop is not None:
+                mode[coop] = 1
+            assert np.array_equal(state.mode, mode)
+            assert np.array_equal(
+                state.requested_group, reference_requested_groups(state.request)
+            )
+            distances = random_distances(rng, k)
+            radius = float(rng.uniform(1.0, 150.0))
+            codes = classify_users(state, distances, radius).tolist()
+            labels = reference_classes(
+                state.cache, state.request, distances, radius, coop
+            )
+            assert [LABELS[c] for c in codes] == labels
+            draws += 1
+    assert draws >= 1000
 
 
 def test_catalog_validation():

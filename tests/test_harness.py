@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from d2dcache.content import ContentState, classify_users, derive_group_sets
+from d2dcache.content import ContentState
 from d2dcache.harness import (
     CSV_COLUMNS,
     DropMetrics,
@@ -28,27 +28,9 @@ def small_config(**overrides):
     return SimConfig(**defaults)
 
 
-def make_content(cache, request, distances, radius, coop_group=None):
-    cache = np.asarray(cache, dtype=np.int8)
-    request = np.asarray(request, dtype=np.int8)
-    caching, demand = derive_group_sets(cache, request)
-    mode = np.zeros(cache.shape[1], dtype=np.int8)
-    if coop_group is not None:
-        mode[coop_group] = 1
-    groups = np.full(cache.shape[0], -1)
-    rows, cols = np.nonzero(request)
-    groups[rows] = cols
-    classes = classify_users(cache, request, distances, radius, coop_group)
+def make_content(cache, request, coop_group=None):
     return ContentState(
-        cache=cache,
-        request=request,
-        requested_file=np.where(groups >= 0, groups * 10 + 1, cache.shape[1] * 10 + 1),
-        requested_group=groups,
-        mode=mode,
-        coop_group=coop_group,
-        caching_sets=caching,
-        demand_sets=demand,
-        classes=classes,
+        np.asarray(cache, dtype=np.int8), np.asarray(request, dtype=np.int8), coop_group
     )
 
 
@@ -89,7 +71,7 @@ def test_manual_six_user_drop_traces_through_pipeline():
         [0, 0, 0],
         [0, 1, 0],
     ]
-    content = make_content(cache, request, topo.distances, 30.0, coop_group=0)
+    content = make_content(cache, request, coop_group=0)
     config = SimConfig(
         num_users=6, rmin_bps_per_hz=0.5, sus_epsilon=0.4, allow_full_rank=False
     )
@@ -141,7 +123,7 @@ def test_nocoop_serves_coop_group_demand_via_ndl():
         [0, 0, 0],
         [0, 1, 0],
     ]
-    content = make_content(cache, request, topo.distances, 30.0, coop_group=None)
+    content = make_content(cache, request, coop_group=None)
     config = SimConfig(num_users=6)
     result = run_pipeline(topo, content, config, "nocoop")
     links = result.ndl_schedule.links
@@ -161,9 +143,7 @@ def test_degenerate_drop_yields_zero_metrics():
     diff = positions[:, None, :] - positions[None, :, :]
     distances = np.sqrt((diff**2).sum(axis=-1))
     topo = Topology(positions, distances, np.full((2, 2), 1e-5 + 0j))
-    content = make_content(
-        [[1, 0], [1, 0]], [[1, 0], [1, 0]], distances, 30.0, coop_group=None
-    )
+    content = make_content([[1, 0], [1, 0]], [[1, 0], [1, 0]], coop_group=None)
     config = SimConfig(num_users=2)
     result = run_pipeline(topo, content, config, "coop")
     m = result.metrics
@@ -196,7 +176,7 @@ def test_nocoop_single_pair_uses_whole_band():
     distances = np.sqrt((diff**2).sum(axis=-1))
     channels = np.array([[0.0, 1e-4], [1e-9, 0.0]], dtype=complex)
     topo = Topology(positions, distances, channels)
-    content = make_content([[1, 0], [0, 1]], [[0, 0], [1, 0]], distances, 30.0)
+    content = make_content([[1, 0], [0, 1]], [[0, 0], [1, 0]])
     config = SimConfig(num_users=2)
     result = run_pipeline(topo, content, config, "nocoop")
     pmax = 10.0 ** ((23.0 - 30.0) / 10.0)

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import lapack
 
 from d2dcache import harness, ndl, numerics
-from d2dcache.content import ContentState, derive_group_sets
+from d2dcache.content import ContentState
 from d2dcache.ndl import (
     WEIGHT_MODES,
     NdlConfig,
@@ -51,25 +51,8 @@ def topology_with_gains(gains, positions=None):
 
 
 def content_from(cache, request, coop_group=None):
-    cache = np.asarray(cache, dtype=np.int8)
-    request = np.asarray(request, dtype=np.int8)
-    caching, demand = derive_group_sets(cache, request)
-    mode = np.zeros(cache.shape[1], dtype=np.int8)
-    if coop_group is not None:
-        mode[coop_group] = 1
-    groups = np.full(cache.shape[0], -1)
-    rows, cols = np.nonzero(request)
-    groups[rows] = cols
     return ContentState(
-        cache=cache,
-        request=request,
-        requested_file=groups + 1,
-        requested_group=groups,
-        mode=mode,
-        coop_group=coop_group,
-        caching_sets=caching,
-        demand_sets=demand,
-        classes=[],
+        np.asarray(cache, dtype=np.int8), np.asarray(request, dtype=np.int8), coop_group
     )
 
 
@@ -1067,7 +1050,7 @@ def test_schedule_ndl_invariants_on_random_drops():
     for seed in range(8):
         rng = np.random.default_rng(100 + seed)
         topo = build_topology(SimGeometry(num_users=25), rng)
-        content = build_content_state(catalog, rng, topo.distances, 30.0)
+        content = build_content_state(catalog, rng, topo.num_users)
         excluded = set()
         if content.coop_group is not None:
             excluded = set(
