@@ -28,7 +28,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--drops", type=int, help="Monte Carlo drops per cell")
         cmd.add_argument("--seed", type=int, help="base seed (drop i uses seed+i)")
         cmd.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        cmd.add_argument("--workers", type=int, help="drop-level thread parallelism")
+        cmd.add_argument(
+            "--workers",
+            type=int,
+            help="accepted for compatibility (>= 1); drops always run serially",
+        )
     simulate.add_argument("--mode", choices=("coop", "nocoop"), help="scheduling mode")
     simulate.add_argument("--users", type=int, help="number of users K")
     simulate.add_argument("--beta", type=float, help="Zipf popularity exponent")

@@ -56,18 +56,18 @@ def place_caches(num_users: int, catalog: Catalog, rng: np.random.Generator) -> 
 
 def draw_requests(
     num_users: int, catalog: Catalog, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Draw one Zipf file request per user.
 
-    Returns the K x G group-request matrix (all-zero row for requests beyond
-    the popular set) and the 1-based requested file ranks.
+    Returns the K x G group-request matrix, with an all-zero row for a
+    request beyond the popular set.
     """
     probs = file_request_probs(catalog)
     files = rng.choice(catalog.num_files, size=num_users, p=probs) + 1
     request = np.zeros((num_users, catalog.num_groups), dtype=np.int8)
     popular = np.flatnonzero(files <= catalog.num_popular)
     request[popular, (files[popular] - 1) // catalog.cache_size] = 1
-    return request, files.astype(int)
+    return request
 
 
 def select_coop_group(demand_counts: np.ndarray) -> int | None:
@@ -141,7 +141,7 @@ def build_content_state(
     with the same generator state see identical caches and requests.
     """
     cache = place_caches(num_users, catalog, rng)
-    request, _ = draw_requests(num_users, catalog, rng)
+    request = draw_requests(num_users, catalog, rng)
     state = ContentState(cache, request)
     if cooperate:
         state.coop_group = select_coop_group(state.unserved.sum(axis=0))

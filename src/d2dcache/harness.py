@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,6 +75,8 @@ class SimConfig:
     # experiment control
     drops: int = 500
     base_seed: int = 1
+    # accepted and validated so saved configs and --workers keep working;
+    # drops always run serially in the calling thread
     workers: int = 1
 
     def validate(self) -> None:
@@ -113,6 +114,10 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"config must be a JSON object, got {type(data).__name__}"
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -331,22 +336,16 @@ def run_cell(
 ) -> dict:
     """Aggregate one (beta, K, mode) cell over its configured drops.
 
-    Drop seeds are ``base_seed + drop_index``; drops may execute on a thread
-    pool, with aggregation done in drop order for bit-stable output.
+    Drop seeds are ``base_seed + drop_index``; drops run one after another in
+    the calling thread, in seed order, whatever ``config.workers`` says.
     """
     drops = config.drops if drops is None else drops
-
-    def one(index: int) -> DropMetrics:
-        return run_drop(
+    metrics = [
+        run_drop(
             config, config.base_seed + index, num_users=num_users, beta=beta, mode=mode
         )
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            metrics = list(pool.map(one, range(drops)))
-    else:
-        metrics = [one(index) for index in range(drops)]
-
+        for index in range(drops)
+    ]
     row: dict = {"beta": beta, "K": num_users, "mode": mode, "drops": drops}
     row.update(aggregate_metrics(metrics))
     return row

@@ -79,6 +79,17 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, kind", [("5", "int"), ("null", "NoneType"), ("[1, 2]", "list"), ('"x"', "str")]
+)
+def test_config_that_is_not_an_object_fails(tmp_path, capsys, text, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config must be a JSON object, got {kind}" in err
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     missing = tmp_path / "none.json"
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path)]) == 1

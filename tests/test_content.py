@@ -86,22 +86,30 @@ def test_place_caches_deterministic():
     assert np.array_equal(a, b)
 
 
+def drawn_ranks(num_users, catalog, seed):
+    """The 1-based file ranks ``draw_requests`` draws from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    probs = file_request_probs(catalog)
+    return rng.choice(catalog.num_files, size=num_users, p=probs) + 1
+
+
 def test_requests_degenerate_zipf():
     cat = Catalog(zipf_beta=50.0)
-    request, files = draw_requests(200, cat, np.random.default_rng(2))
-    assert np.all(files == 1)
+    request = draw_requests(200, cat, np.random.default_rng(2))
+    assert np.all(drawn_ranks(200, cat, 2) == 1)
     assert np.all(request[:, 0] == 1)
 
 
 def test_requests_group_frequency_matches_oracle():
-    request, _ = draw_requests(100_000, DEFAULT, np.random.default_rng(3))
+    request = draw_requests(100_000, DEFAULT, np.random.default_rng(3))
     freq = request[:, 0].mean()
     assert abs(freq - zipf_group_prob(0, DEFAULT)) < 0.01
 
 
 def test_request_row_structure():
     cat = DEFAULT
-    request, files = draw_requests(500, cat, np.random.default_rng(4))
+    request = draw_requests(500, cat, np.random.default_rng(4))
+    files = drawn_ranks(500, cat, 4)
     sums = request.sum(axis=1)
     assert np.all((sums == 0) | (sums == 1))
     for k in range(500):
@@ -116,7 +124,7 @@ def test_request_row_structure():
 def test_cache_rows_are_one_hot_and_sets_disjoint():
     rng = np.random.default_rng(6)
     cache = place_caches(300, DEFAULT, rng)
-    request, _ = draw_requests(300, DEFAULT, rng)
+    request = draw_requests(300, DEFAULT, rng)
     assert np.all(cache.sum(axis=1) == 1)
     state = ContentState(cache, request)
     for caching, demand in zip(state.caching_sets, state.demand_sets):
@@ -192,7 +200,7 @@ def test_classify_matches_per_user_loop():
     for trial in range(300):
         k = int(rng.integers(2, 40))
         cache = place_caches(k, catalog, rng)
-        request, _ = draw_requests(k, catalog, rng)
+        request = draw_requests(k, catalog, rng)
         distances = random_distances(rng, k)
         coop = None if trial % 3 == 0 else int(rng.integers(0, catalog.num_groups))
         radius = float(rng.uniform(5.0, 60.0))

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from d2dcache import harness
 from d2dcache.content import ContentState
 from d2dcache.harness import (
     CSV_COLUMNS,
@@ -294,8 +296,30 @@ def test_sweep_rows_and_worker_invariance():
         (1.2, 8, "nocoop"),
     ]
     config.workers = 3
-    threaded = run_sweep(config)
-    assert threaded == serial
+    with_workers = run_sweep(config)
+    assert with_workers == serial
+
+
+def test_drops_run_in_calling_thread_in_seed_order(monkeypatch):
+    calls = []
+    real_run_drop = harness.run_drop
+
+    def recording_run_drop(config, seed, **cell):
+        calls.append((threading.get_ident(), seed))
+        return real_run_drop(config, seed, **cell)
+
+    monkeypatch.setattr(harness, "run_drop", recording_run_drop)
+    config = small_config(num_users=8, drops=5, workers=4)
+    run_cell(config, num_users=8, beta=1.0, mode="coop")
+    assert calls == [(threading.get_ident(), 7 + i) for i in range(5)]
+
+    calls.clear()
+    config.betas = [0.8, 1.2]
+    config.user_counts = [8, 10]
+    rows = run_sweep(config)
+    assert {ident for ident, _ in calls} == {threading.get_ident()}
+    seeds = [seed for _, seed in calls]
+    assert seeds == list(range(7, 12)) * len(rows)
 
 
 def test_run_drop_nocoop_mode():
