@@ -13,7 +13,7 @@ import numpy as np
 
 from .cdl import CdlConfig, CdlSchedule, schedule_cdl
 from .content import Catalog, ContentState, build_content_state
-from .ndl import NdlConfig, NdlSchedule, schedule_ndl
+from .ndl import NdlConfig, NdlSchedule, cachers_in_range, schedule_ndl
 from .topology import SimGeometry, Topology, build_topology
 
 MODES = ("coop", "nocoop")
@@ -100,6 +100,9 @@ class SimConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
+        # drop seeds are base_seed + i, and numpy seeds must be non-negative
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.betas or not self.user_counts:
@@ -203,28 +206,26 @@ CLASS_D2D = 2
 CLASS_CELLULAR = 3
 
 
-def classify_users(
-    content: ContentState, distances: np.ndarray, d2d_radius_m: float
-) -> np.ndarray:
+def classify_users(content: ContentState, in_range: np.ndarray) -> np.ndarray:
     """Coarse per-user service class code (``CLASS_*``) before scheduling.
 
-    A requester of the cooperative group counts as d2d whenever that group is
-    cached by anyone (it is a CR candidate regardless of distance); other
-    requesters need a cacher of their group within the D2D radius.
+    ``in_range`` is the drop's :func:`ndl.cachers_in_range` mask for the D2D
+    radius.  A requester of the cooperative group counts as d2d whenever that
+    group is cached by anyone (it is a CR candidate regardless of distance);
+    other requesters need a cacher of their group within the D2D radius.
     """
     groups = content.requested_group
-    users = np.arange(content.num_users)
-    group = np.maximum(groups, 0)
-    cached = content.cache == 1
-    # near_cacher[k]: some cacher of k's requested group is within range of k
-    near_cacher = ((distances < d2d_radius_m) & cached[:, group].T).any(axis=1)
-    # all False when coop_group is None
-    coop_reachable = (groups == content.coop_group) & cached.any(axis=0)[group]
-    return np.select(
-        [groups < 0, cached[users, group], coop_reachable | near_cacher],
-        [CLASS_IDLE, CLASS_SELF_SATISFIED, CLASS_D2D],
-        CLASS_CELLULAR,
-    )
+    d2d = in_range.any(axis=0)
+    group = content.coop_group
+    if group is not None and content.cache[:, group].any():
+        d2d |= groups == group
+    # later assignments take precedence; every user is in range of itself,
+    # so the diagonal marks "caches the group it requests"
+    classes = np.full(content.num_users, CLASS_CELLULAR)
+    classes[d2d] = CLASS_D2D
+    classes[in_range.diagonal()] = CLASS_SELF_SATISFIED
+    classes[groups < 0] = CLASS_IDLE
+    return classes
 
 
 def run_pipeline(
@@ -259,11 +260,12 @@ def run_pipeline(
         excluded = set(cdl_schedule.transmitters.tolist())
         excluded.update(cdl_schedule.receivers.tolist())
 
+    in_range = cachers_in_range(content, topology.distances, config.d2d_radius_m)
     ndl_schedule = schedule_ndl(
-        topology, content, config.ndl_config(ndl_bandwidth), excluded
+        topology, content, config.ndl_config(ndl_bandwidth), excluded, in_range=in_range
     )
 
-    classes = classify_users(content, topology.distances, config.d2d_radius_m)
+    classes = classify_users(content, in_range)
     cdl_rate = cdl_schedule.sum_rate_bps
     ndl_rate = ndl_schedule.sum_rate_bps
     metrics = DropMetrics(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import TOL, BipartiteGraph, SingularSystemError
+from .numerics import TOL, SingularSystemError
 from .content import ContentState
 from .topology import Topology, dbm_to_watt
 
@@ -49,29 +49,50 @@ class NdlConfig:
             raise ValueError("rmin_bps_per_hz must be > 0")
 
 
+def _block(matrix: np.ndarray, rows, cols) -> np.ndarray:
+    """``matrix[np.ix_(rows, cols)]``, gathered one axis at a time: the same
+    array, several times faster on the small blocks the pipeline takes."""
+    return matrix.take(rows, axis=0).take(cols, axis=1)
+
+
+def cachers_in_range(
+    content: ContentState, distances: np.ndarray, radius_m: float
+) -> np.ndarray:
+    """K x K mask: user k caches the group user j requests and lies within
+    ``radius_m`` of j.  Columns of idle users (no popular request) are empty;
+    the diagonal marks the self-satisfied users."""
+    groups = content.requested_group
+    in_range = content.cache[:, groups] == 1
+    in_range &= distances < radius_m
+    in_range[:, groups < 0] = False
+    return in_range
+
+
 def build_candidates(
     topology: Topology,
     content: ContentState,
     radius_m: float,
     excluded=frozenset(),
+    in_range: np.ndarray | None = None,
 ) -> np.ndarray:
     """Supply mask over the non-cooperative groups, skipping excluded users.
 
     ``supplies[k, j]``: user k caches the group j wants and is within the D2D
     radius of j, and neither is excluded.  The candidate receivers are the
     non-empty columns, the candidate transmitters the non-empty rows.
+    ``in_range`` is the drop's :func:`cachers_in_range` mask for
+    ``radius_m``, built here when not given.
     """
+    if in_range is None:
+        in_range = cachers_in_range(content, topology.distances, radius_m)
     allowed = np.ones(topology.num_users, dtype=bool)
     allowed[list(excluded)] = False
     # unserved demand of a group left to the NDLs
     wants = content.unserved & (content.mode == 0)
     receiving = wants.any(axis=1) & allowed
-    return (
-        (content.cache[:, content.requested_group] == 1)
-        & (topology.distances < radius_m)
-        & allowed[:, None]
-        & receiving[None, :]
-    )
+    supplies = in_range & allowed[:, None]
+    supplies &= receiving
+    return supplies
 
 
 def role_costs(
@@ -101,9 +122,9 @@ def role_costs(
     # terms from a row total loses the relative precision of small costs.
     others = receivers[None, :] != ambiguous[:, None]
 
-    tx_row = gains[np.ix_(ambiguous, receivers)]
+    tx_row = _block(gains, ambiguous, receivers)
     served = np.argmax(
-        np.where(supplies[np.ix_(ambiguous, receivers)], tx_row, -np.inf), axis=1
+        np.where(_block(supplies, ambiguous, receivers), tx_row, -np.inf), axis=1
     )
     skip = others.copy()
     skip[rows, served] = False
@@ -113,7 +134,7 @@ def role_costs(
     tau = np.argmax(
         np.where(supplies[:, ambiguous], gains[:, ambiguous], -np.inf), axis=0
     )
-    rx_row = gains[np.ix_(tau, receivers)]
+    rx_row = _block(gains, tau, receivers)
     skip = others & (receivers[None, :] != tau[:, None])
     beta = scale / gains[tau, ambiguous] * np.where(skip, rx_row, 0.0).sum(axis=1)
     return ambiguous, alpha, beta
@@ -153,25 +174,29 @@ def select_links(
     """
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-    lone_tx = supplies.sum(axis=1) == 1
-    lone_rx = supplies.sum(axis=0) == 1
-    direct = supplies & lone_tx[:, None] & lone_rx[None, :]
-    contested = supplies & ~direct
-    txs, rxs = np.nonzero(direct)
-
-    left = np.flatnonzero(contested.any(axis=1))
-    right = np.flatnonzero(contested.any(axis=0))
-    if left.size:
-        block = contested[np.ix_(left, right)]
-        gains = topology.power_gains[np.ix_(left, right)][block]
-        weights = 1.0 / gains if weight_mode == "reciprocal" else gains
-        i, j = np.nonzero(block)
-        graph = BipartiteGraph(
-            left.size, right.size, list(zip(i.tolist(), j.tolist(), weights.tolist()))
-        )
-        pairs = np.array(numerics.max_weight_matching(graph), dtype=int).reshape(-1, 2)
-        txs = np.concatenate([txs, left[pairs[:, 0]]])
-        rxs = np.concatenate([rxs, right[pairs[:, 1]]])
+    num_users = supplies.shape[0]
+    # the edge list in row-major order; far cheaper than np.nonzero on 2-D
+    txs, rxs = np.divmod(np.flatnonzero(supplies), num_users)
+    tx_degree = np.bincount(txs, minlength=num_users)
+    rx_degree = np.bincount(rxs, minlength=num_users)
+    contested = (tx_degree[txs] > 1) | (rx_degree[rxs] > 1)
+    if contested.any():
+        left = np.flatnonzero(np.bincount(txs[contested], minlength=num_users))
+        right = np.flatnonzero(np.bincount(rxs[contested], minlength=num_users))
+        # a supplier or requester of a contested edge has no direct one, so
+        # every edge inside the block is contested
+        block = _block(supplies, left, right)
+        gains = _block(topology.power_gains, left, right)
+        weights = np.zeros(block.shape)
+        if weight_mode == "reciprocal":
+            np.divide(1.0, gains, out=weights, where=block)
+        else:
+            np.copyto(weights, gains, where=block)
+        pairs = numerics.max_weight_matching(weights, block)
+        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+        direct = ~contested
+        txs = np.concatenate([txs[direct], left[pairs[:, 0]]])
+        rxs = np.concatenate([rxs[direct], right[pairs[:, 1]]])
     order = np.argsort(rxs)
     return list(zip(txs[order].tolist(), rxs[order].tolist()))
 
@@ -180,7 +205,7 @@ def link_gain_matrix(links, topology: Topology) -> np.ndarray:
     """Entry [i, j] is the power gain from link i's transmitter to link j's receiver."""
     txs = [tx for tx, _ in links]
     rxs = [rx for _, rx in links]
-    return topology.power_gains[np.ix_(txs, rxs)]
+    return _block(topology.power_gains, txs, rxs)
 
 
 def admission_system(gains: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -279,7 +304,10 @@ def check_and_remove(
     by bisection.  Feasibility can only switch on along the order: a subset
     of a feasible set has an elementwise smaller minimum-power vector
     (Perron-Frobenius), so at most 1 + ceil(log2 n) solves are made.  Every
-    solve is on a principal submatrix of one :func:`admission_system`.
+    solve is on a principal submatrix of one :func:`admission_system`, and
+    only a solution inside the box goes through
+    :func:`numerics.certify_solution`: a refused certificate and a box
+    failure both make the probe infeasible.
     """
     n = len(links)
     gains = np.asarray(gain_matrix, dtype=float)
@@ -287,24 +315,32 @@ def check_and_remove(
     targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
     pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,))
     system = admission_system(gains, targets)
+    if not np.isfinite(system).all() or not np.isfinite(noise).all():
+        raise ValueError("non-finite entries in linear system")
     limit = pmax * (1.0 + TOL.power_feasibility_rel)
 
     def min_powers(alive):
-        """Minimum powers of the alive links if they fit the box, else None."""
+        """Certified minimum powers of the alive links if they fit the box,
+        else None."""
         if not alive.size:
             return np.zeros(0)
+        sub, rhs = _block(system, alive, alive), noise[alive]
         try:
-            powers = numerics.solve_linear(system[alive[:, None], alive], noise[alive])
+            powers = np.linalg.solve(sub, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not ((powers >= 0.0).all() and (powers <= limit[alive]).all()):
+            return None
+        try:
+            numerics.certify_solution(sub, rhs, powers)
         except SingularSystemError:
             return None
-        if (powers >= 0.0).all() and (powers <= limit[alive]).all():
-            return powers
-        return None
+        return powers
 
     def outcome(alive, powers):
         return RemovalOutcome(
             [links[i] for i in alive],
-            gains[alive[:, None], alive],
+            _block(gains, alive, alive),
             targets[alive],
             powers,
             n - alive.size,
@@ -425,10 +461,14 @@ def schedule_ndl(
     content: ContentState,
     config: NdlConfig,
     excluded=frozenset(),
+    in_range: np.ndarray | None = None,
 ) -> NdlSchedule:
     """Run candidate construction, role resolution, matching, admission and
-    max-min power allocation for the non-cooperative groups."""
-    supplies = build_candidates(topology, content, config.radius_m, excluded)
+    max-min power allocation for the non-cooperative groups.  ``in_range``
+    is passed on to :func:`build_candidates`."""
+    supplies = build_candidates(
+        topology, content, config.radius_m, excluded, in_range=in_range
+    )
     if not supplies.any():
         return NdlSchedule.empty()
     resolved = nt_nr_decision(supplies, topology, config.noise_w, config.sinr_target)

@@ -91,10 +91,9 @@ def gs_residual(vector: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the square real system Ax = b, refusing untrustworthy results.
 
-    Raises SingularSystemError when the LU factors are singular, when the
-    LAPACK 1-norm condition estimate exceeds ``TOL.condition_limit``, or when
-    the residual ||Ax - b|| exceeds ``TOL.linsolve_rel`` * ||b||.  The
-    estimate (xGECON, Higham 1988) costs O(n^2) on top of the factorisation.
+    The solution from ``np.linalg.solve`` is returned only if it passes
+    :func:`certify_solution`; otherwise SingularSystemError is raised.
+    Non-finite entries raise ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -104,22 +103,34 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     if not np.isfinite(a).all() or not np.isfinite(b).all():
         raise ValueError("non-finite entries in linear system")
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    certify_solution(a, b, x)
+    return x
+
+
+def certify_solution(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
+    """Raise SingularSystemError unless ``x`` is a trustworthy solution of the
+    finite, square, real, non-empty system Ax = b.
+
+    Refused when the LU factors of A are singular, when the LAPACK 1-norm
+    condition estimate exceeds ``TOL.condition_limit``, or when the residual
+    ||Ax - b|| exceeds ``TOL.linsolve_rel`` * ||b||.  The estimate (xGECON,
+    Higham 1988) costs O(n^2) on top of the factorisation.  ``x`` is not
+    recomputed from these factors: scipy's LAPACK build may round the last
+    bit differently from numpy's solver.
+    """
     lu, _, info = lapack.dgetrf(a)
     if info > 0:
         raise SingularSystemError("system is singular")
     rcond, _ = lapack.dgecon(lu, lapack.dlange("1", a))
     if not rcond * TOL.condition_limit >= 1.0:
         raise SingularSystemError("system is numerically singular")
-    try:
-        # x from numpy's solver, not from the factors above: scipy's LAPACK
-        # build may round the last bit differently
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
     residual = a @ x - b
     if not residual @ residual <= TOL.linsolve_rel**2 * (b @ b):
         raise SingularSystemError("residual of the solve exceeds its tolerance")
-    return x
 
 
 @dataclass
@@ -131,7 +142,9 @@ class BipartiteGraph:
     edges: list = field(default_factory=list)  # (left, right, weight >= 0)
 
     def weight_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Validated dense weight matrix and edge mask, num_left x num_right."""
+        """Dense weight matrix and edge mask, num_left x num_right, with
+        non-edges at zero; raises ValueError on an out-of-range or duplicate
+        edge."""
         shape = (self.num_left, self.num_right)
         weights, is_edge = np.zeros(shape), np.zeros(shape, dtype=bool)
         if not self.edges:
@@ -147,22 +160,30 @@ class BipartiteGraph:
         is_edge[index] = True
         if np.count_nonzero(is_edge) < len(self.edges):
             raise ValueError("duplicate edge")
-        if not weights.min() >= 0.0:  # NaN fails the comparison too
-            kind = "NaN" if np.isnan(weights).any() else "negative"
-            raise ValueError(f"edge with {kind} weight")
         return weights, is_edge
 
 
-def max_weight_matching(graph: BipartiteGraph) -> list[tuple[int, int]]:
+def max_weight_matching(weights, is_edge=None) -> list[tuple[int, int]]:
     """Vertex-disjoint edge set of maximum total weight, sorted by left vertex.
 
-    Solved as a rectangular assignment over the dense weight matrix with
-    non-edges pinned at zero; optimal assignments restricted to real edges
-    are exactly the maximum-weight matchings when weights are non-negative.
+    ``weights`` is the dense num_left x num_right weight matrix, non-edges at
+    zero, and ``is_edge`` marks the real edges; a :class:`BipartiteGraph`
+    may be passed alone instead.  Solved as a rectangular assignment over
+    the dense matrix: with non-negative weights, optimal assignments
+    restricted to real edges are exactly the maximum-weight matchings.
     """
-    weights, is_edge = graph.weight_matrix()
-    if not graph.edges:
+    if isinstance(weights, BipartiteGraph):
+        weights, is_edge = weights.weight_matrix()
+    if weights.shape != is_edge.shape:
+        raise ValueError("weight matrix and edge mask differ in shape")
+    edge_weights = weights[is_edge]
+    if not edge_weights.size:
         return []
+    if not edge_weights.min() >= 0.0:  # NaN fails the comparison too
+        kind = "NaN" if np.isnan(edge_weights).any() else "negative"
+        raise ValueError(f"edge with {kind} weight")
+    if np.count_nonzero(weights) != np.count_nonzero(edge_weights):
+        raise ValueError("non-edge with non-zero weight")
     rows, cols = linear_sum_assignment(weights, maximize=True)  # rows ascending
     keep = is_edge[rows, cols]
     return list(zip(rows[keep].tolist(), cols[keep].tolist()))

@@ -85,17 +85,30 @@ def path_gain(distance_m):
 
 
 def build_topology(geometry: SimGeometry, rng: np.random.Generator) -> Topology:
-    """Generate positions and the full K x K channel matrix for one drop."""
-    positions = place_users(geometry, rng)
-    dx = positions[:, None, 0] - positions[None, :, 0]
-    dy = positions[:, None, 1] - positions[None, :, 1]
-    distances = np.sqrt(dx * dx + dy * dy)
-    off_diag = ~np.eye(geometry.num_users, dtype=bool)
-    distances[off_diag] = np.maximum(distances[off_diag], MIN_PAIR_DISTANCE_M)
+    """Generate positions and the full K x K channel matrix for one drop.
 
-    amplitude = np.zeros_like(distances)
-    amplitude[off_diag] = np.sqrt(path_gain(distances[off_diag]))
-    fading = rng.standard_normal((geometry.num_users, geometry.num_users, 2))
-    channels = amplitude * (fading[..., 0] + 1j * fading[..., 1]) / np.sqrt(2.0)
+    Every K x K array is built once and updated in place.  The clamp also
+    lifts the diagonal to ``MIN_PAIR_DISTANCE_M`` so the path-loss law takes
+    the whole matrix; the diagonals are zeroed afterwards.
+    """
+    num_users = geometry.num_users
+    positions = place_users(geometry, rng)
+    x, y = positions.T
+    distances = np.subtract.outer(x, x)
+    dy = np.subtract.outer(y, y)
+    distances *= distances
+    dy *= dy
+    distances += dy
+    np.sqrt(distances, out=distances)
+    np.maximum(distances, MIN_PAIR_DISTANCE_M, out=distances)
+
+    amplitude = path_gain(distances)
+    np.sqrt(amplitude, out=amplitude)
+    fading = rng.standard_normal((num_users, num_users, 2))
+    # (re, im) pairs of the last axis read as one complex128 each
+    channels = fading.view(np.complex128).reshape(num_users, num_users)
+    channels *= amplitude
+    channels /= np.sqrt(2.0)
     np.fill_diagonal(channels, 0.0)
+    np.fill_diagonal(distances, 0.0)
     return Topology(positions=positions, distances=distances, channels=channels)

@@ -96,6 +96,15 @@ def test_missing_config_file_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_seed_fails_naming_the_field(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["simulate", "--drops", "1", "--seed", "-3", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "base_seed" in err
+    assert not (out / "results.csv").exists()
+
+
 def test_invalid_config_value_fails(tmp_path, capsys):
     bad = tiny_config(tmp_path, drops=0)
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1

@@ -22,6 +22,7 @@ from d2dcache.harness import (
     CLASS_SELF_SATISFIED,
     classify_users,
 )
+from d2dcache.ndl import cachers_in_range
 
 DEFAULT = Catalog(num_files=200, cache_size=10, num_popular=100, zipf_beta=0.8)
 
@@ -131,6 +132,10 @@ def test_cache_rows_are_one_hot_and_sets_disjoint():
         assert set(caching).isdisjoint(demand)
 
 
+def classify(state, distances, radius):
+    return classify_users(state, cachers_in_range(state, distances, radius))
+
+
 def three_user_instance():
     # user 0 caches g0 and requests g1; user 1 caches g1; user 2 caches g0, requests g0
     cache = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.int8)
@@ -143,13 +148,13 @@ def three_user_instance():
 
 def test_classify_self_satisfied():
     cache, request, distances = three_user_instance()
-    classes = classify_users(ContentState(cache, request), distances, 30.0)
+    classes = classify(ContentState(cache, request), distances, 30.0)
     assert classes[2] == CLASS_SELF_SATISFIED
 
 
 def test_classify_d2d_with_supplier_in_range():
     cache, request, distances = three_user_instance()
-    classes = classify_users(ContentState(cache, request), distances, 30.0)
+    classes = classify(ContentState(cache, request), distances, 30.0)
     assert classes[0] == CLASS_D2D  # user 1 caches g1 at 10 m
     assert classes[1] == CLASS_IDLE
 
@@ -157,14 +162,14 @@ def test_classify_d2d_with_supplier_in_range():
 def test_classify_cellular_without_cooperation():
     cache, request, distances = three_user_instance()
     distances[0, 1] = distances[1, 0] = 80.0  # push the only supplier out of range
-    classes = classify_users(ContentState(cache, request), distances, 30.0)
+    classes = classify(ContentState(cache, request), distances, 30.0)
     assert classes[0] == CLASS_CELLULAR
 
 
 def test_classify_coop_group_requester_is_d2d_regardless_of_range():
     cache, request, distances = three_user_instance()
     distances[0, 1] = distances[1, 0] = 80.0
-    classes = classify_users(ContentState(cache, request, 1), distances, 30.0)
+    classes = classify(ContentState(cache, request, 1), distances, 30.0)
     assert classes[0] == CLASS_D2D
 
 
@@ -206,7 +211,7 @@ def test_classify_matches_per_user_loop():
         radius = float(rng.uniform(5.0, 60.0))
         expected = classify_loop(cache, request, distances, radius, coop)
         state = ContentState(cache, request, coop)
-        assert classify_users(state, distances, radius).tolist() == expected
+        assert classify(state, distances, radius).tolist() == expected
 
 
 def test_select_coop_group_examples():
@@ -329,7 +334,7 @@ def test_derived_views_match_list_references():
             )
             distances = random_distances(rng, k)
             radius = float(rng.uniform(1.0, 150.0))
-            codes = classify_users(state, distances, radius).tolist()
+            codes = classify(state, distances, radius).tolist()
             labels = reference_classes(
                 state.cache, state.request, distances, radius, coop
             )

@@ -354,6 +354,9 @@ def test_config_validation_errors():
         SimConfig(drops=0).validate()
     with pytest.raises(ValueError):
         SimConfig(betas=[]).validate()
+    with pytest.raises(ValueError, match="base_seed must be >= 0"):
+        SimConfig(base_seed=-1).validate()
+    SimConfig(base_seed=0).validate()
     small_config().validate()
     # a JSON integer is a valid value for a float field
     small_config(pmax_dbm=23, zipf_beta=1, betas=[1, 0.5]).validate()

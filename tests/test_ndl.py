@@ -493,8 +493,10 @@ def test_mask_front_end_matches_dict_reference(monkeypatch):
     build = ndl.build_candidates
     with_candidates = []
 
-    def checking(topology, content, radius_m, excluded=frozenset()):
-        supplies = build(topology, content, radius_m, excluded)
+    def checking(topology, content, radius_m, excluded=frozenset(), in_range=None):
+        supplies = build(topology, content, radius_m, excluded, in_range=in_range)
+        # the drop's shared mask gives what a mask built here gives
+        assert supplies.tobytes() == build(topology, content, radius_m, excluded).tobytes()
         suppliers = dict_candidates(topology, content, radius_m, excluded)
         assert supplies.shape == (topology.num_users,) * 2
         assert suppliers_of(supplies) == suppliers
@@ -659,6 +661,27 @@ def loop_removal(links, gains, noise, targets, pmax):
         gains, targets = gains[np.ix_(keep, keep)], targets[keep]
 
 
+def test_removal_certifies_in_box_solutions(monkeypatch):
+    # feasible with slack: minimum powers near 4e-4 W against a 0.2 W box
+    gains = np.diag([1e-9, 2e-9, 1.5e-9]) + 1e-13
+    links = [(0, 3), (1, 4), (2, 5)]
+    assert check_and_remove(links, gains, NOISE, GAMMA, PMAX).kept == links
+    # a 1e-6 relative error keeps every probe inside the box but fails the
+    # residual guard, so only the certificate can refuse the probes
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    out = check_and_remove(links, gains, NOISE, GAMMA, PMAX)
+    assert out.kept == []
+    assert out.iterations == len(links)
+
+
+def test_removal_rejects_non_finite_entries():
+    gains = np.diag([1e-9, 2e-9]) + 1e-13
+    gains[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        check_and_remove([(0, 2), (1, 3)], gains, NOISE, GAMMA, PMAX)
+
+
 def test_removal_matches_pairwise_loop():
     rng = np.random.default_rng(11)
     fired = 0
@@ -754,14 +777,15 @@ def test_removal_bisection_matches_linear_loop():
 
 
 def test_removal_solve_count_is_logarithmic(monkeypatch):
-    solve = numerics.solve_linear
+    # every probe solve is counted, whether or not its solution gets certified
+    solve = np.linalg.solve
     calls = []
 
     def counting(a, b):
         calls.append(a.shape[0])
         return solve(a, b)
 
-    monkeypatch.setattr(numerics, "solve_linear", counting)
+    monkeypatch.setattr(np.linalg, "solve", counting)
     rng = np.random.default_rng(13)
     for trial in range(400):
         links, gains, targets = removal_instance(rng, trial % 4)
@@ -894,7 +918,7 @@ def test_removal_matches_svd_guarded_reference():
 
 def test_pipeline_removal_matches_svd_guarded_reference(monkeypatch):
     remove = ndl.check_and_remove
-    solve = numerics.solve_linear
+    certify = numerics.certify_solution
     seen = Counter()
 
     def checking(links, gains, noise_w, sinr_targets, pmax_w):
@@ -909,28 +933,29 @@ def test_pipeline_removal_matches_svd_guarded_reference(monkeypatch):
         seen["removals"] += ours.iterations > 0
         return ours
 
-    def comparing(a, b):
-        # the reference guard must agree, and solve accepted systems identically
+    def comparing(a, b, x):
+        # every certified solution is numpy's solve, and the reference guard
+        # agrees with the certificate
+        assert x.tobytes() == np.linalg.solve(a, b).tobytes()
         with np.errstate(divide="ignore", invalid="ignore"):
             svd_refuses = np.linalg.cond(a) > TOL.condition_limit
         try:
-            x = solve(a, b)
+            certify(a, b, x)
         except numerics.SingularSystemError:
             seen["refused"] += 1
             assert svd_refuses
             raise
         assert not svd_refuses
-        assert x.tobytes() == np.linalg.solve(a, b).tobytes()
-        seen["solved"] += 1
-        return x
+        seen["certified"] += 1
 
     monkeypatch.setattr(ndl, "check_and_remove", checking)
-    monkeypatch.setattr(numerics, "solve_linear", comparing)
+    monkeypatch.setattr(numerics, "certify_solution", comparing)
     config = harness.SimConfig()
     for num_users, mode, beta in REFERENCE_CELLS:
         for seed in range(1, 201):
             harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
     assert seen["removals"] > 100, seen
+    assert seen["certified"] > 1000, seen
 
 
 # --- rates and max-min power allocation ------------------------------------------------

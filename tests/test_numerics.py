@@ -11,6 +11,7 @@ from d2dcache.numerics import (
     BipartiteGraph,
     PrecoderSingularError,
     SingularSystemError,
+    certify_solution,
     gs_residual,
     matching_weight,
     max_weight_matching,
@@ -225,6 +226,18 @@ def test_solve_residual_certificate_fires(monkeypatch):
         solve_linear(a, b)
 
 
+def test_certify_accepts_the_solve_and_refuses_a_perturbed_one():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+    b = rng.standard_normal(5)
+    x = np.linalg.solve(a, b)
+    certify_solution(a, b, x)
+    with pytest.raises(SingularSystemError, match="residual"):
+        certify_solution(a, b, x * (1.0 + 1e-6))
+    with pytest.raises(SingularSystemError):
+        certify_solution(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.ones(2), x[:2])
+
+
 def test_solve_rejects_singular_and_ill_conditioned():
     with pytest.raises(SingularSystemError):
         solve_linear(np.zeros((2, 2)), np.ones(2))
@@ -289,6 +302,27 @@ def test_matching_rejects_out_of_range_edges():
         with pytest.raises(ValueError):
             max_weight_matching(BipartiteGraph(1, 2, [(0, 0, 1.0), edge]))
     assert max_weight_matching(BipartiteGraph(2, 2, [])) == []
+
+
+def test_matching_dense_block_equals_graph():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        nl, nr = rng.integers(1, 9, size=2)
+        is_edge = rng.random((nl, nr)) < 0.5
+        weights = np.where(is_edge, rng.uniform(0.0, 10.0, (nl, nr)), 0.0)
+        i, j = np.nonzero(is_edge)
+        graph = BipartiteGraph(int(nl), int(nr), list(zip(i, j, weights[is_edge])))
+        assert max_weight_matching(weights, is_edge) == max_weight_matching(graph)
+
+
+def test_matching_dense_block_rejects_bad_input():
+    is_edge = np.array([[True, False]])
+    for weights in ([[-1.0, 0.0]], [[np.nan, 0.0]], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            max_weight_matching(np.array(weights), is_edge)
+    with pytest.raises(ValueError):
+        max_weight_matching(np.ones((2, 1)), is_edge)
+    assert max_weight_matching(np.zeros((1, 2)), np.zeros((1, 2), dtype=bool)) == []
 
 
 def test_matching_equals_bruteforce_seeded():

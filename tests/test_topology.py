@@ -117,6 +117,44 @@ def test_min_distance_clamp_applies_to_crowded_layouts():
     assert topo.distances[off].min() >= MIN_PAIR_DISTANCE_M
 
 
+def reference_build_topology(geometry, rng):
+    """Reference build: the off-diagonal gathered and scattered through a
+    boolean mask, with fresh arrays at every step."""
+    positions = place_users(geometry, rng)
+    dx = positions[:, None, 0] - positions[None, :, 0]
+    dy = positions[:, None, 1] - positions[None, :, 1]
+    distances = np.sqrt(dx * dx + dy * dy)
+    off_diag = ~np.eye(geometry.num_users, dtype=bool)
+    distances[off_diag] = np.maximum(distances[off_diag], MIN_PAIR_DISTANCE_M)
+    amplitude = np.zeros_like(distances)
+    amplitude[off_diag] = np.sqrt(path_gain(distances[off_diag]))
+    fading = rng.standard_normal((geometry.num_users, geometry.num_users, 2))
+    channels = amplitude * (fading[..., 0] + 1j * fading[..., 1]) / np.sqrt(2.0)
+    np.fill_diagonal(channels, 0.0)
+    return Topology(positions=positions, distances=distances, channels=channels)
+
+
+@pytest.mark.parametrize(
+    "side_m, num_users",
+    [(100.0, 2), (100.0, 3), (100.0, 20), (100.0, 30), (100.0, 40), (100.0, 100),
+     (2.0, 30)],
+)
+def test_build_topology_matches_reference_bytes(side_m, num_users):
+    geometry = SimGeometry(side_m=side_m, num_users=num_users, d2d_radius_m=2.0)
+    clamped = 0
+    for seed in range(300):
+        ours = build_topology(geometry, np.random.default_rng(seed))
+        ref = reference_build_topology(geometry, np.random.default_rng(seed))
+        for name in ("positions", "distances", "channels", "power_gains"):
+            got, want = getattr(ours, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), (seed, name)
+        raw = np.sqrt(((ours.positions[:, None] - ours.positions[None]) ** 2).sum(-1))
+        clamped += np.count_nonzero(raw < MIN_PAIR_DISTANCE_M) - num_users
+    if side_m == 2.0:
+        assert clamped > 10_000  # the clamp binds on most pairs of a crowded layout
+
+
 def test_geometry_validation():
     SimGeometry().validate()
     with pytest.raises(ValueError):
