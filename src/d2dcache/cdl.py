@@ -10,7 +10,7 @@ import numpy as np
 
 from . import numerics
 from .numerics import TOL, PrecoderSingularError, ZfPrecoder
-from .topology import Topology, dbm_to_watt
+from .topology import Topology, check_radio_values, dbm_to_watt
 
 LN2 = math.log(2.0)
 
@@ -41,10 +41,7 @@ class CdlConfig:
             raise ValueError("bandwidth_hz must be positive")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.pmax_w <= 0 or self.noise_w <= 0:
-            raise ValueError("powers must be positive")
-        if self.rmin_bps_per_hz < 0:
-            raise ValueError("rmin_bps_per_hz must be >= 0")
+        check_radio_values(self)
 
 
 def effective_gains(channel_matrix: np.ndarray, w_bar: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 from . import numerics
 from .numerics import TOL, SingularSystemError
 from .content import ContentState
-from .topology import Topology, dbm_to_watt
+from .topology import Topology, check_radio_values, dbm_to_watt
 
 WEIGHT_MODES = ("reciprocal", "gain")
 
@@ -44,9 +44,8 @@ class NdlConfig:
             raise ValueError("bandwidth_hz and radius_m must be positive")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-        # a zero floor would zero the admission matrix diagonal
-        if self.rmin_bps_per_hz <= 0:
-            raise ValueError("rmin_bps_per_hz must be > 0")
+        # a zero SINR target would zero the admission matrix diagonal
+        check_radio_values(self)
 
 
 def _block(matrix: np.ndarray, rows, cols) -> np.ndarray:
@@ -210,19 +209,23 @@ def link_gain_matrix(links, topology: Topology) -> np.ndarray:
 
 def admission_system(gains: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Matrix A with A p = noise exactly when every link sits at its SINR
-    target: A = -G^T with diagonal G_ii / gamma_i.  A Z-matrix, so a
-    non-negative solution for positive noise certifies that the targets are
-    jointly reachable (a nonsingular M-matrix); the power box is separate."""
+    target: A = -G^T with diagonal G_ii / gamma_i.  Non-negative gains make
+    A and its principal submatrices Z-matrices, so a non-negative solution
+    for positive noise certifies that the targets are jointly reachable (a
+    nonsingular M-matrix); the power box is separate."""
     if np.any(targets <= 0):
         raise ValueError("SINR targets must be positive")
+    if np.any(gains < 0):
+        raise ValueError("power gains must be non-negative")
     system = -gains.T
     np.fill_diagonal(system, np.diag(gains) / targets)
     return system
 
 
 def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
-    """Powers putting every link exactly at its SINR target, or None if the
-    admission system is singular."""
+    """Non-negative powers putting every link exactly at its SINR target, or
+    None if :func:`numerics.solve_linear` refuses the admission system
+    (singular, or its solution is negative or not certified)."""
     gains = np.asarray(gain_matrix, dtype=float)
     n = gains.shape[0]
     noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
@@ -304,10 +307,11 @@ def check_and_remove(
     by bisection.  Feasibility can only switch on along the order: a subset
     of a feasible set has an elementwise smaller minimum-power vector
     (Perron-Frobenius), so at most 1 + ceil(log2 n) solves are made.  Every
-    solve is on a principal submatrix of one :func:`admission_system`, and
-    only a solution inside the box goes through
-    :func:`numerics.certify_solution`: a refused certificate and a box
-    failure both make the probe infeasible.
+    solve is on a principal submatrix of one :func:`admission_system`, a
+    Z-matrix, and only a solution with p' <= pmax goes through
+    :func:`numerics.certify_solution`, which also refuses any p' with a
+    negative entry: a refused certificate and a box failure both make the
+    probe infeasible.
     """
     n = len(links)
     gains = np.asarray(gain_matrix, dtype=float)
@@ -329,7 +333,7 @@ def check_and_remove(
             powers = np.linalg.solve(sub, rhs)
         except np.linalg.LinAlgError:
             return None
-        if not ((powers >= 0.0).all() and (powers <= limit[alive]).all()):
+        if not (powers <= limit[alive]).all():
             return None
         try:
             numerics.certify_solution(sub, rhs, powers)
@@ -406,7 +410,6 @@ def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult
     powers = min_power_vector(gains, noise, sinr)
     if (
         powers is None
-        or np.any(powers < 0.0)
         or abs(np.max(powers / pmax) - 1.0) > TOL.power_feasibility_rel
         or np.any(sinr < targets * (1.0 - TOL.sinr_match_rel))
     ):

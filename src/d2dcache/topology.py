@@ -23,6 +23,26 @@ def dbm_to_watt(power_dbm: float) -> float:
     return 10.0 ** ((power_dbm - 30.0) / 10.0)
 
 
+def check_radio_values(config) -> None:
+    """Raise ValueError unless a link config's linear peak power, noise power
+    and SINR target are finite and > 0.  A conversion that overflows counts
+    as infinite; one that underflows gives 0."""
+    for name, source in (
+        ("pmax_w", "pmax_dbm"),
+        ("noise_w", "noise_dbm"),
+        ("sinr_target", "rmin_bps_per_hz"),
+    ):
+        try:
+            value = getattr(config, name)
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"{name} = {value!r} from {source} = {getattr(config, source)!r}"
+                " must be finite and > 0"
+            )
+
+
 @dataclass
 class SimGeometry:
     """Square hotspot layout parameters."""

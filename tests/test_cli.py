@@ -136,6 +136,25 @@ def test_wrongly_typed_config_value_fails(tmp_path, capsys, extra):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"rmin_bps_per_hz": 1024.0}, "sinr_target"),
+        ({"rmin_bps_per_hz": 1e-17}, "sinr_target"),
+        ({"pmax_dbm": 4000.0}, "pmax_w"),
+        ({"noise_dbm": 4000.0}, "noise_w"),
+    ],
+)
+def test_out_of_range_radio_value_fails_naming_the_field(tmp_path, capsys, extra, field):
+    bad = tiny_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(bad), "--mode", "coop", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("axis", [{"user_counts": [8, 1]}, {"betas": [0.8, -1.0]}])
 def test_invalid_sweep_axis_fails_before_any_cell(tmp_path, capsys, monkeypatch, axis):
     cells = []

@@ -360,3 +360,24 @@ def test_config_validation_errors():
     small_config().validate()
     # a JSON integer is a valid value for a float field
     small_config(pmax_dbm=23, zipf_beta=1, betas=[1, 0.5]).validate()
+
+
+# radio settings whose linear value overflows, or underflows to 0, and the
+# derived field that validation names
+OUT_OF_RANGE_RADIO = [
+    ({"rmin_bps_per_hz": 1024.0}, "sinr_target"),
+    ({"rmin_bps_per_hz": 1e-17}, "sinr_target"),
+    ({"pmax_dbm": 4000.0}, "pmax_w"),
+    ({"noise_dbm": 4000.0}, "noise_w"),
+    ({"noise_dbm": -4000.0}, "noise_w"),
+]
+
+
+@pytest.mark.parametrize("extra, field", OUT_OF_RANGE_RADIO)
+def test_config_rejects_out_of_range_radio_values(extra, field):
+    config = SimConfig(**extra)
+    with pytest.raises(ValueError, match=f"{field} = .* must be finite and > 0"):
+        config.validate()
+    for link_config in (config.cdl_config(), config.ndl_config()):
+        with pytest.raises(ValueError, match=field):
+            link_config.validate()

@@ -1,9 +1,10 @@
 import math
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 from d2dcache import harness, ndl, numerics
 from d2dcache.content import ContentState
@@ -798,16 +799,20 @@ def test_removal_solve_count_is_logarithmic(monkeypatch):
 # --- reference: the SVD-guarded, compact-rescoring removal that was replaced ---------
 
 
+# condition number above which the SVD-guarded references refuse a system
+SVD_CONDITION_LIMIT = 1e12
+
+
 def svd_guarded_min_powers(gains, noise, targets):
     """Reference admission solve: refused when the SVD condition number of
-    the system exceeds ``TOL.condition_limit``, with no residual check."""
+    the system exceeds ``SVD_CONDITION_LIMIT``, with no residual check."""
     if not gains.shape[0]:
         return np.zeros(0)
     system = -gains.T.copy()
     np.fill_diagonal(system, np.diag(gains) / targets)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = np.linalg.cond(system)
-    if condition > TOL.condition_limit:
+    if condition > SVD_CONDITION_LIMIT:
         return None
     try:
         return np.linalg.solve(system, noise)
@@ -877,21 +882,25 @@ def assert_same_outcome(ours, ref):
     assert ours.min_powers_w.tobytes() == ref.min_powers_w.tobytes()
 
 
-def guard_verdicts(gains, noise, targets):
-    """Which guards refuse the admission system of one link set: the
-    reference SVD condition number, the LU condition estimate alone, and
-    :func:`numerics.solve_linear` as a whole (estimate and residual)."""
-    system = ndl.admission_system(gains, targets)
-    lu, _, info = lapack.dgetrf(system)
-    estimate = info > 0 or (
-        lapack.dgecon(lu, lapack.dlange("1", system))[0] * TOL.condition_limit < 1.0
-    )
+def solve_verdict(gains, noise, targets, pmax):
+    """How :func:`numerics.solve_linear` treats the admission system of one
+    link set against the SVD-guarded reference solution; '' when it does as
+    expected.  It must refuse every system whose reference solution is
+    refused or has a negative entry, and accept every one whose reference
+    solution lies in the power box."""
+    ref = svd_guarded_min_powers(gains, noise, targets)
     try:
-        numerics.solve_linear(system, noise)
+        numerics.solve_linear(ndl.admission_system(gains, targets), noise)
         refused = False
     except numerics.SingularSystemError:
         refused = True
-    return svd_guarded_min_powers(gains, noise, targets) is None, estimate, refused
+    if ref is None:
+        return "" if refused else "accepts an SVD-refused system"
+    if np.any(ref < 0.0):
+        return "" if refused else "accepts a negative solution"
+    if np.all(ref <= pmax * (1.0 + TOL.power_feasibility_rel)):
+        return "refuses an in-box solution" if refused else ""
+    return ""
 
 
 def test_removal_matches_svd_guarded_reference():
@@ -907,13 +916,10 @@ def test_removal_matches_svd_guarded_reference():
         if ref_order is None:
             ref_order = compact_removal_order(gains, noise, targets, pmax)
         assert ndl.removal_order(gains, noise, targets, pmax) == ref_order
-        svd, estimate, refused = guard_verdicts(gains, noise, targets)
-        if svd != estimate:
-            disagreements[kind, "estimate"] += 1
-        elif refused != svd:
-            disagreements[kind, "residual"] += 1
-    # the guards part only on the systems built to sit next to singularity
-    assert {kind for kind, _ in disagreements} <= {3}, disagreements
+        verdict = solve_verdict(gains, noise, targets, pmax)
+        if verdict:
+            disagreements[kind, verdict] += 1
+    assert not disagreements, disagreements
 
 
 def test_pipeline_removal_matches_svd_guarded_reference(monkeypatch):
@@ -934,18 +940,21 @@ def test_pipeline_removal_matches_svd_guarded_reference(monkeypatch):
         return ours
 
     def comparing(a, b, x):
-        # every certified solution is numpy's solve, and the reference guard
-        # agrees with the certificate
+        # every certified solution is numpy's solve; the certificate refuses
+        # exactly the solutions with a negative entry and those the
+        # reference guard refuses
         assert x.tobytes() == np.linalg.solve(a, b).tobytes()
         with np.errstate(divide="ignore", invalid="ignore"):
-            svd_refuses = np.linalg.cond(a) > TOL.condition_limit
+            svd_refuses = np.linalg.cond(a) > SVD_CONDITION_LIMIT
+        negative = bool(np.any(x < 0.0))
+        seen["negative"] += negative
         try:
             certify(a, b, x)
         except numerics.SingularSystemError:
             seen["refused"] += 1
-            assert svd_refuses
+            assert svd_refuses or negative
             raise
-        assert not svd_refuses
+        assert not (svd_refuses or negative)
         seen["certified"] += 1
 
     monkeypatch.setattr(ndl, "check_and_remove", checking)
@@ -956,6 +965,7 @@ def test_pipeline_removal_matches_svd_guarded_reference(monkeypatch):
             harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
     assert seen["removals"] > 100, seen
     assert seen["certified"] > 1000, seen
+    assert seen["refused"] == seen["negative"] > 0, seen
 
 
 # --- rates and max-min power allocation ------------------------------------------------
@@ -1148,3 +1158,92 @@ def test_config_validation():
         NdlConfig(weight_mode="nope").validate()
     with pytest.raises(ValueError):
         NdlConfig(radius_m=0).validate()
+
+
+# --- the M-matrix certificate in exact arithmetic ---------------------------------------
+
+
+def exact_solve(a, b):
+    """x* of Ax = b in exact rational arithmetic (Gauss-Jordan elimination)."""
+    n = len(b)
+    rows = [[Fraction(v) for v in a[i]] + [Fraction(b[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [u - factor * v for u, v in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def check_certificate_exactly(a, b, x, certify):
+    """The certificate's theorem on one computed solution, in exact arithmetic:
+    if x >= 0 and Ax > 0 then |x - x*| <= t x entry by entry, with
+    t = max_i |(Ax - b)_i| / (Ax)_i, and the float t from ``certify`` agrees
+    with the exact t to within the rounding of Ax - b.  Returns t, or None
+    when x >= 0 and Ax > 0 do not both hold exactly."""
+    n = len(b)
+    xs = [Fraction(v) for v in x]
+    ys = [sum(Fraction(a[i, j]) * xs[j] for j in range(n)) for i in range(n)]
+    if min(xs) < 0 or min(ys) <= 0:
+        return None
+    t = max(abs(y - Fraction(v)) / y for y, v in zip(ys, b))
+    for computed, want in zip(xs, exact_solve(a, b)):
+        assert abs(computed - want) <= t * computed
+    # |fl(Ax - b) - (Ax - b)| <= (n + 1) u (|A||x| + |b|), u = eps / 2
+    spread = np.max((np.abs(a) @ np.abs(x) + np.abs(b)) / (a @ x))
+    slack = 2 * (n + 2) * np.finfo(float).eps * spread * (1 + float(t))
+    assert abs(Fraction(certify(a, b, x)) - t) <= Fraction(slack)
+    return t
+
+
+def test_certificate_bound_holds_in_exact_arithmetic(monkeypatch):
+    systems = []
+    rng = np.random.default_rng(12)
+    for trial in range(400):
+        links, gains, targets = removal_instance(rng, trial % 4)
+        if len(links) <= 7:
+            a = ndl.admission_system(gains, targets)
+            b = np.full(len(links), NOISE)
+            systems.append((trial % 4, a, b, np.linalg.solve(a, b)))
+
+    certify = numerics.certify_solution
+
+    def capturing(a, b, x):
+        if a.shape[0] <= 7:
+            systems.append(("pipeline", a.copy(), b.copy(), x.copy()))
+        return certify(a, b, x)
+
+    monkeypatch.setattr(numerics, "certify_solution", capturing)
+    config = harness.SimConfig()
+    for num_users, mode, beta in REFERENCE_CELLS[:2]:
+        for seed in range(1, 41):
+            harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
+    # with no tolerance the certificate returns its float t for every x >= 0, Ax > 0
+    monkeypatch.setattr(numerics, "TOL", replace(TOL, forward_error_rel=math.inf))
+    checked = Counter()
+    worst = Fraction(0)
+    for source, a, b, x in systems:
+        t = check_certificate_exactly(a, b, x, certify)
+        if t is not None:
+            checked[source] += 1
+            worst = max(worst, t)
+    assert set(checked) == {0, 1, 2, 3, "pipeline"}, checked
+    assert checked["pipeline"] > 100 and sum(checked.values()) > 150, checked
+    assert worst > TOL.forward_error_rel  # refused systems are covered too
+
+
+def test_high_snr_drop_completes_with_powers_in_the_box():
+    # at -140 dBm this drop's max-min solve failed the normwise residual test
+    # that the componentwise certificate replaced
+    config = harness.SimConfig(noise_dbm=-140.0)
+    drop = harness.simulate_drop(config, 73, num_users=100, beta=0.6, mode="nocoop")
+    schedule = drop.ndl_schedule
+    assert schedule.num_served > 0
+    ndl_config = config.ndl_config()
+    powers = schedule.powers_w
+    assert np.all(powers >= 0.0)
+    assert np.all(powers <= ndl_config.pmax_w * (1.0 + TOL.power_feasibility_rel))
+    achieved = sinrs(powers, schedule.gain_matrix, ndl_config.noise_w)
+    assert np.all(achieved >= schedule.sinr_targets * (1.0 - TOL.sinr_match_rel))

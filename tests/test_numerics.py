@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,12 +95,16 @@ def test_zf_residual_certificate_fires(monkeypatch):
         zf_precoder(h)
 
 
+# condition number above which the SVD-guarded references refuse a system
+SVD_CONDITION_LIMIT = 1e12
+
+
 def svd_guarded_zf(h):
     """Reference precoder matrix: refused (None) when the SVD condition number
-    of the Gram matrix exceeds ``TOL.condition_limit``, with no residual check."""
+    of the Gram matrix exceeds ``SVD_CONDITION_LIMIT``, with no residual check."""
     gram = h.conj().T @ h
     with np.errstate(divide="ignore", invalid="ignore"):
-        if np.linalg.cond(gram) > TOL.condition_limit:
+        if np.linalg.cond(gram) > SVD_CONDITION_LIMIT:
             return None
     return h @ np.linalg.solve(gram, np.eye(h.shape[1], dtype=complex))
 
@@ -197,8 +202,18 @@ def test_gs_reconstruction_identity():
 # --- linear solve ------------------------------------------------------------
 
 
+def random_admission_system(rng, n):
+    """An admission-type Z-matrix: -G^T off the diagonal, G_ii / gamma on it,
+    with targets low enough to keep it a nonsingular M-matrix."""
+    gains = rng.uniform(0.05, 1.0, (n, n)) * 1e-11
+    gains[np.arange(n), np.arange(n)] = rng.uniform(0.5, 3.0, n) * 1e-9
+    a = -gains.T
+    np.fill_diagonal(a, np.diag(gains) / rng.uniform(1.0, 15.0, n))
+    return a
+
+
 def test_solve_identity():
-    b = np.array([1.0, -2.0, 3.0])
+    b = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(solve_linear(np.eye(3), b), b)
 
 
@@ -208,17 +223,36 @@ def test_solve_diagonal():
     assert np.allclose(solve_linear(a, b), [1.0, 0.5])
 
 
+def test_solve_rejects_systems_outside_its_contract():
+    # the certificate proves nothing unless A is a Z-matrix and b > 0
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_linear(np.eye(3), np.array([1.0, -2.0, 3.0]))
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_linear(np.eye(2), np.array([1.0, 0.0]))
+    nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(ValueError, match="Z-matrix"):
+        solve_linear(nearly, np.ones(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_linear(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="square"):
+        solve_linear(np.ones((2, 3)), np.ones(2))
+
+
 def test_solve_random_residual():
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        b = rng.standard_normal(6)
+    for n in range(1, 21):
+        a = random_admission_system(rng, n)
+        b = rng.uniform(0.5, 2.0, n) * 1e-12
         x = solve_linear(a, b)
-        assert np.linalg.norm(a @ x - b) <= TOL.linsolve_rel * np.linalg.norm(b)
+        assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+        # the componentwise certificate: x >= 0, Ax > 0, |Ax - b| <= t Ax
+        y = a @ x
+        assert np.all(x >= 0.0) and np.all(y > 0.0)
+        assert np.all(np.abs(y - b) <= TOL.forward_error_rel * y)
 
 
 def test_solve_residual_certificate_fires(monkeypatch):
-    a = np.array([[4.0, 1.0], [2.0, 3.0]])
+    a = np.array([[4.0, -1.0], [-2.0, 3.0]])
     b = np.array([1.0, 2.0])
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
@@ -228,22 +262,37 @@ def test_solve_residual_certificate_fires(monkeypatch):
 
 def test_certify_accepts_the_solve_and_refuses_a_perturbed_one():
     rng = np.random.default_rng(8)
-    a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-    b = rng.standard_normal(5)
+    a = random_admission_system(rng, 5)
+    b = rng.uniform(0.5, 2.0, 5)
     x = np.linalg.solve(a, b)
-    certify_solution(a, b, x)
-    with pytest.raises(SingularSystemError, match="residual"):
+    assert certify_solution(a, b, x) <= TOL.forward_error_rel
+    # a relative perturbation of 1e-6 gives t of about 1e-6
+    with pytest.raises(SingularSystemError, match="forward-error bound"):
         certify_solution(a, b, x * (1.0 + 1e-6))
-    with pytest.raises(SingularSystemError):
-        certify_solution(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.ones(2), x[:2])
+    negative = x.copy()
+    negative[2] = -negative[2]
+    with pytest.raises(SingularSystemError, match="negative entry"):
+        certify_solution(a, b, negative)
+    # x >= 0 whose image is not positive: no M-matrix certificate
+    with pytest.raises(SingularSystemError, match="not positive"):
+        certify_solution(np.array([[1.0, -2.0], [0.0, 1.0]]), np.ones(2), np.ones(2))
 
 
 def test_solve_rejects_singular_and_ill_conditioned():
     with pytest.raises(SingularSystemError):
         solve_linear(np.zeros((2, 2)), np.ones(2))
-    nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-    with pytest.raises(SingularSystemError):
-        solve_linear(nearly, np.ones(2))
+    # nonsingular with x < 0: no M-matrix, refused
+    with pytest.raises(SingularSystemError, match="negative entry"):
+        solve_linear(np.array([[1.0, -1.0], [-1.0, 1.0 - 1e-9]]), np.ones(2))
+    # condition number near 4e15, yet an M-matrix whose solve is accurate:
+    # the stored entry is 1 + d with d = 5 * 2**-52, so x* = ((2 + d) / d, 2 / d)
+    nearly = np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-15]])
+    x = solve_linear(nearly, np.ones(2))
+    d = Fraction(nearly[1, 1]) - 1
+    exact = [(2 + d) / d, 2 / d]
+    assert x[1] == pytest.approx(1.8014e15, rel=1e-4)
+    for computed, want in zip(x, exact):
+        assert abs(Fraction(computed) - want) <= Fraction(TOL.forward_error_rel) * want
 
 
 # --- maximum weight bipartite matching ----------------------------------------
