@@ -208,8 +208,8 @@ def _dual_newton(a, wsq, budgets):
 
 
 def qos_floor_powers(
-    channel_matrix: np.ndarray,
-    w_bar: np.ndarray,
+    gains: np.ndarray,
+    wsq: np.ndarray,
     *,
     pmax_w,
     noise_w,
@@ -218,18 +218,12 @@ def qos_floor_powers(
     """Stream powers meeting every QoS floor with equality, or None when the
     QoS is infeasible.
 
-    With the ZF precoder the floors decouple per CR, so the floor powers are
-    the minimum-power point; the QoS is feasible exactly when every CR has a
-    positive effective gain and these powers fit every CT budget within
+    Takes the :func:`effective_gains` and ``wsq = |w_bar|^2`` of the ZF
+    precoder, whose floors decouple per CR: the floor powers are the
+    minimum-power point, and the QoS is feasible exactly when every CR has a
+    positive gain and they fit every CT budget within
     ``TOL.power_feasibility_rel``.
     """
-    return _floor_powers(
-        effective_gains(channel_matrix, w_bar), np.abs(w_bar) ** 2, pmax_w, noise_w, sinr_targets
-    )
-
-
-def _floor_powers(gains, wsq, pmax_w, noise_w, sinr_targets):
-    """:func:`qos_floor_powers` from the effective gains and ``|w_bar|^2``."""
     if np.any(gains <= 0):
         return None
     p_min = sinr_targets * noise_w / gains
@@ -248,15 +242,16 @@ def allocate_cdl_power(
 ) -> CdlPowerResult | None:
     """Sum-rate maximizing stream powers, or None when the QoS is infeasible.
 
-    The deterministic pre-check :func:`qos_floor_powers` decides feasibility.
+    :func:`qos_floor_powers` on the gains g and ``wsq = |w_bar|^2`` of the
+    normalized ZF precoder ``w_bar`` decides feasibility and gives p_min.
     The remaining concave program (maximize sum log2(1 + g_n p_n / sigma)
-    s.t. W p <= Pmax, p >= p_min) is solved by projected Newton on its
+    s.t. wsq p <= Pmax, p >= p_min) is solved by projected Newton on its
     Lagrange dual, started where every budget binds when that point is
     optimal.  ``converged`` is the certificate: the
     Lagrange dual bound at the returned ``lambda_tx`` exceeds the returned
     objective by at most ``GAP_TOL`` bit/s/Hz.  ``mu_rx`` are the QoS
     multipliers in rate form, from stationarity
-    ``(1 + mu_n) / (ln2 (sigma / g_n + p_n)) = (W^T lambda)_n``, and
+    ``(1 + mu_n) / (ln2 (sigma / g_n + p_n)) = (wsq^T lambda)_n``, and
     ``iterations`` counts dual Newton steps.
     """
     num_tx, num_rx = channel_matrix.shape
@@ -268,7 +263,9 @@ def allocate_cdl_power(
 
     wsq = np.abs(w_bar) ** 2                        # (M, N)
     gains = effective_gains(channel_matrix, w_bar)  # (N,)
-    p_min = _floor_powers(gains, wsq, pmax_w, noise_w, targets)
+    p_min = qos_floor_powers(
+        gains, wsq, pmax_w=pmax_w, noise_w=noise_w, sinr_targets=targets
+    )
     if p_min is None:
         return None
 
@@ -344,14 +341,14 @@ def schedule_cdl(
 ) -> CdlSchedule:
     """Greedy semi-orthogonal CR selection, then one sum-rate power solve.
 
-    Each round projects every remaining candidate channel onto the orthogonal
-    complement of the residual directions admitted so far and picks the
-    strongest residual (the lowest user id on ties).  The pick is admitted
-    only if the ZF precoder of the enlarged set exists and the minimum-power
-    pre-check :func:`qos_floor_powers` passes; otherwise selection stops.
-    Survivors of each round must keep their normalized channel correlation to
-    the newly admitted direction below ``config.epsilon``.  The powers come
-    from one certified :func:`allocate_cdl_power` solve on the final set.
+    Each round projects every remaining candidate channel off the selected
+    channels H with W H^H, the orthogonal projector built from the admitted
+    ZF precoder W, and picks the strongest residual (lowest id on ties).
+    The pick is admitted only if the ZF precoder of the enlarged set exists
+    and the minimum-power pre-check :func:`qos_floor_powers` passes;
+    otherwise selection stops.  Survivors must keep their normalized channel
+    correlation to the admitted residual below ``config.epsilon``.  The
+    powers come from one certified :func:`allocate_cdl_power` solve.
     """
     tx = np.asarray(sorted(transmitters), dtype=int)
     pool = np.asarray(sorted(int(c) for c in candidates), dtype=int)
@@ -359,25 +356,25 @@ def schedule_cdl(
     if tx.size == 0 or limit <= 0 or not pool.size:
         return CdlSchedule.empty(tx)
 
+    channels = topology.channels.take(tx, axis=0)   # CT rows, every user
     selected: list[int] = []
     precoder: ZfPrecoder | None = None
-    basis = np.zeros((tx.size, 0), dtype=complex)   # admitted residual directions
-    basis_norms_sq = np.zeros(0)
     while len(selected) < limit and pool.size:
-        h_pool = topology.channels[np.ix_(tx, pool)]
-        coefficients = (basis.conj().T @ h_pool) / basis_norms_sq[:, None]
-        residuals = h_pool - basis @ coefficients
+        h_pool = channels.take(pool, axis=1)
+        residuals = h_pool
+        if precoder is not None:
+            residuals = h_pool - precoder.matrix @ (h_sel.conj().T @ h_pool)
         energies = np.sum(np.abs(residuals) ** 2, axis=0)
         best = int(np.argmax(energies))   # pool is sorted: first max is lowest id
         trial = selected + [int(pool[best])]
-        h_trial = topology.channels[np.ix_(tx, np.asarray(trial))]
+        h_trial = channels.take(trial, axis=1)
         try:
             trial_precoder = numerics.zf_precoder(h_trial)
         except PrecoderSingularError:
             break
         if qos_floor_powers(
-            h_trial,
-            trial_precoder.normalized,
+            effective_gains(h_trial, trial_precoder.normalized),
+            np.abs(trial_precoder.normalized) ** 2,
             pmax_w=config.pmax_w,
             noise_w=config.noise_w,
             sinr_targets=config.sinr_target,
@@ -388,8 +385,6 @@ def schedule_cdl(
         norm_dir = np.linalg.norm(direction)
         if norm_dir == 0.0:
             break
-        basis = np.column_stack([basis, direction])
-        basis_norms_sq = np.append(basis_norms_sq, norm_dir**2)
         correlation = np.abs(direction.conj() @ h_pool) / (
             np.linalg.norm(h_pool, axis=0) * norm_dir
         )

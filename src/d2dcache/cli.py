@@ -74,7 +74,7 @@ def main(argv=None) -> int:
         else:
             rows = run_sweep(config)
         path = write_results(rows, args.out / "results.csv")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(rows)} row(s) to {path}")

@@ -339,15 +339,18 @@ def run_cell(
     """Aggregate one (beta, K, mode) cell over its configured drops.
 
     Drop seeds are ``base_seed + drop_index``; drops run one after another in
-    the calling thread, in seed order, whatever ``config.workers`` says.
+    the calling thread, in seed order, whatever ``config.workers`` says.  A
+    drop's ``ArithmeticError`` is raised again, same type, naming seed and cell.
     """
     drops = config.drops if drops is None else drops
-    metrics = [
-        run_drop(
-            config, config.base_seed + index, num_users=num_users, beta=beta, mode=mode
-        )
-        for index in range(drops)
-    ]
+    cell = dict(num_users=num_users, beta=beta, mode=mode)
+    metrics = []
+    for seed in range(config.base_seed, config.base_seed + drops):
+        try:
+            metrics.append(run_drop(config, seed, **cell))
+        except ArithmeticError as exc:
+            where = f"drop seed {seed} of cell K={num_users}, beta={beta}, mode={mode}"
+            raise type(exc)(f"{where}: {exc}") from exc
     row: dict = {"beta": beta, "K": num_users, "mode": mode, "drops": drops}
     row.update(aggregate_metrics(metrics))
     return row

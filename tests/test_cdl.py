@@ -574,6 +574,39 @@ def test_selection_matches_per_candidate_loop():
         assert schedule.receivers.tolist() == receivers
         assert schedule.powers_w.tobytes() == powers.tobytes()
 
+    # the same check on the inputs real coop drops hand to schedule_cdl
+    instances = pipeline_cdl_instances()
+    served = []
+    for transmitters, candidates, topo, config in instances:
+        schedule = schedule_cdl(transmitters, candidates, topo, config)
+        receivers, powers = per_candidate_schedule(
+            transmitters.tolist(), candidates.tolist(), topo, config
+        )
+        assert schedule.receivers.tolist() == receivers
+        assert schedule.powers_w.tobytes() == powers.tobytes()
+        served.append(schedule.num_served)
+    assert len(instances) >= 300 and max(served) >= 3
+
+
+def pipeline_cdl_instances(seeds=range(1, 51)):
+    """``schedule_cdl`` arguments of the coop drops ``seeds`` in each of three
+    cells, with the loop bound at the CT count and one short of it."""
+    instances = []
+    real_schedule = harness.schedule_cdl
+
+    def recording(*args):
+        instances.append(args)
+        return real_schedule(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "schedule_cdl", recording)
+        for num_users, beta in ((30, 1.2), (100, 0.6), (40, 1.6)):
+            for full_rank in (True, False):
+                config = harness.SimConfig(allow_full_rank=full_rank)
+                for seed in seeds:
+                    harness.simulate_drop(config, seed, num_users=num_users, beta=beta)
+    return instances
+
 
 def test_schedule_deterministic():
     rng = np.random.default_rng(8)

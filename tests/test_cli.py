@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from d2dcache import cli, harness
+from d2dcache import cli, harness, ndl
 from d2dcache.cli import main
 from d2dcache.harness import read_results
 
@@ -169,3 +169,30 @@ def test_invalid_sweep_axis_fails_before_any_cell(tmp_path, capsys, monkeypatch,
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert cells == []
+
+
+def test_failed_power_certificate_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def uncertified(*args, **kwargs):
+        raise ArithmeticError("max-min power failed its certificate")
+
+    monkeypatch.setattr(ndl, "dc_power_allocation", uncertified)
+    out = tmp_path / "out"
+    code = main(
+        [
+            "simulate",
+            "--mode", "nocoop",
+            "--users", "30",
+            "--beta", "1.2",
+            "--drops", "1",
+            "--seed", "73",
+            "--out", str(out),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "seed 73" in lines[0] and "K=30" in lines[0] and "mode=nocoop" in lines[0]
+    assert "failed its certificate" in lines[0]
+    assert "Traceback" not in err
+    assert not (out / "results.csv").exists()

@@ -322,6 +322,23 @@ def test_drops_run_in_calling_thread_in_seed_order(monkeypatch):
     assert seeds == list(range(7, 12)) * len(rows)
 
 
+def test_failed_drop_fails_its_cell_naming_the_seed(monkeypatch):
+    def failing_run_drop(config, seed, **cell):
+        if seed == 9:
+            raise FloatingPointError("certificate failed")
+        return real_run_drop(config, seed, **cell)
+
+    real_run_drop = harness.run_drop
+    monkeypatch.setattr(harness, "run_drop", failing_run_drop)
+    config = small_config(num_users=8, drops=5)
+    with pytest.raises(FloatingPointError) as info:
+        run_cell(config, num_users=8, beta=1.0, mode="coop")
+    message = str(info.value)
+    assert "seed 9" in message and "K=8" in message and "beta=1.0" in message
+    assert "mode=coop" in message and "certificate failed" in message
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 def test_run_drop_nocoop_mode():
     config = small_config()
     direct = simulate_drop(config, 11, mode="nocoop").metrics
