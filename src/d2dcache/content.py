@@ -47,11 +47,8 @@ def file_request_probs(catalog: Catalog) -> np.ndarray:
 
 
 def place_caches(num_users: int, catalog: Catalog, rng: np.random.Generator) -> np.ndarray:
-    """Each user caches one group drawn uniformly; returns the K x G one-hot matrix."""
-    groups = rng.integers(0, catalog.num_groups, size=num_users)
-    cache = np.zeros((num_users, catalog.num_groups), dtype=np.int8)
-    cache[np.arange(num_users), groups] = 1
-    return cache
+    """Each user caches one group drawn uniformly; returns the (K,) group indices."""
+    return rng.integers(0, catalog.num_groups, size=num_users)
 
 
 def draw_requests(
@@ -59,15 +56,12 @@ def draw_requests(
 ) -> np.ndarray:
     """Draw one Zipf file request per user.
 
-    Returns the K x G group-request matrix, with an all-zero row for a
-    request beyond the popular set.
+    Returns the (K,) requested group indices, -1 for a request beyond the
+    popular set.
     """
     probs = file_request_probs(catalog)
-    files = rng.choice(catalog.num_files, size=num_users, p=probs) + 1
-    request = np.zeros((num_users, catalog.num_groups), dtype=np.int8)
-    popular = np.flatnonzero(files <= catalog.num_popular)
-    request[popular, (files[popular] - 1) // catalog.cache_size] = 1
-    return request
+    files = rng.choice(catalog.num_files, size=num_users, p=probs)
+    return np.where(files < catalog.num_popular, files // catalog.cache_size, -1)
 
 
 def select_coop_group(demand_counts: np.ndarray) -> int | None:
@@ -82,37 +76,33 @@ def select_coop_group(demand_counts: np.ndarray) -> int | None:
 
 @dataclass
 class ContentState:
-    """What one drop drew and decided: caches, requests and the cooperative
-    group.  Every other view is derived from these three on demand."""
+    """What one drop drew and decided: each user's cached and requested
+    group, and the cooperative group.  Every other view is derived."""
 
-    cache: np.ndarray          # K x G one-hot
-    request: np.ndarray        # K x G, rows sum to 0 or 1
+    cached_group: np.ndarray     # (K,) group index
+    requested_group: np.ndarray  # (K,) group index, -1 beyond the popular set
+    num_groups: int
     coop_group: int | None = None
 
     @property
     def num_users(self) -> int:
-        return self.cache.shape[0]
-
-    @property
-    def num_groups(self) -> int:
-        return self.cache.shape[1]
+        return self.cached_group.size
 
     @property
     def unserved(self) -> np.ndarray:
-        """K x G: user k requests group g and does not cache it."""
-        return (self.request == 1) & (self.cache == 0)
+        """(K,) bool: the user requests a group it does not cache."""
+        return (self.requested_group >= 0) & (self.requested_group != self.cached_group)
 
     @property
-    def requested_group(self) -> np.ndarray:
-        """Per-user requested group index, -1 where the request row is all zero."""
-        groups = np.full(self.num_users, -1, dtype=int)
-        rows, cols = np.nonzero(self.request)
-        groups[rows] = cols
-        return groups
+    def cache(self) -> np.ndarray:
+        """K x G one-hot cache matrix; kept because perfbench's checker reads it."""
+        return (self.cached_group[:, None] == np.arange(self.num_groups)).astype(np.int8)
 
     @property
     def mode(self) -> np.ndarray:
-        """(G,) transmission-mode indicators: 1 on the cooperative group only."""
+        """(G,) transmission-mode indicators: 1 on the cooperative group only.
+
+        Kept because perfbench's checker reads it."""
         mode = np.zeros(self.num_groups, dtype=np.int8)
         if self.coop_group is not None:
             mode[self.coop_group] = 1
@@ -120,13 +110,19 @@ class ContentState:
 
     @property
     def caching_sets(self) -> list:
-        """Caching set M_g (the users caching group g) for every group."""
-        return [np.flatnonzero(column) for column in self.cache.T]
+        """Caching set M_g (the users caching group g) for every group; kept
+        because perfbench's checker reads it."""
+        return [np.flatnonzero(self.cached_group == g) for g in range(self.num_groups)]
 
     @property
     def demand_sets(self) -> list:
-        """Unserved-demand set N_g (requesters not caching g) for every group."""
-        return [np.flatnonzero(column) for column in self.unserved.T]
+        """Unserved-demand set N_g (requesters not caching g) for every group;
+        kept because perfbench's checker reads it."""
+        unserved = self.unserved
+        return [
+            np.flatnonzero(unserved & (self.requested_group == g))
+            for g in range(self.num_groups)
+        ]
 
 
 def build_content_state(
@@ -140,9 +136,10 @@ def build_content_state(
     The random draws do not depend on ``cooperate``, so coop and no-coop runs
     with the same generator state see identical caches and requests.
     """
-    cache = place_caches(num_users, catalog, rng)
-    request = draw_requests(num_users, catalog, rng)
-    state = ContentState(cache, request)
+    cached = place_caches(num_users, catalog, rng)
+    requested = draw_requests(num_users, catalog, rng)
+    state = ContentState(cached, requested, catalog.num_groups)
     if cooperate:
-        state.coop_group = select_coop_group(state.unserved.sum(axis=0))
+        demand = np.bincount(requested[state.unserved], minlength=catalog.num_groups)
+        state.coop_group = select_coop_group(demand)
     return state

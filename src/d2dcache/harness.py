@@ -184,9 +184,6 @@ class DropMetrics:
     cellular: int = 0
     removal_iterations: int = 0
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class DropResult:
@@ -217,7 +214,7 @@ def classify_users(content: ContentState, in_range: np.ndarray) -> np.ndarray:
     groups = content.requested_group
     d2d = in_range.any(axis=0)
     group = content.coop_group
-    if group is not None and content.cache[:, group].any():
+    if group is not None and (content.cached_group == group).any():
         d2d |= groups == group
     # later assignments take precedence; every user is in range of itself,
     # so the diagonal marks "caches the group it requests"
@@ -243,8 +240,8 @@ def run_pipeline(
         group = content.coop_group
         if group is not None:
             cdl_schedule = schedule_cdl(
-                np.flatnonzero(content.cache[:, group]),
-                np.flatnonzero(content.unserved[:, group]),
+                np.flatnonzero(content.cached_group == group),
+                np.flatnonzero(content.unserved & (content.requested_group == group)),
                 topology,
                 config.cdl_config(),
             )
@@ -262,7 +259,7 @@ def run_pipeline(
 
     in_range = cachers_in_range(content, topology.distances, config.d2d_radius_m)
     ndl_schedule = schedule_ndl(
-        topology, content, config.ndl_config(ndl_bandwidth), excluded, in_range=in_range
+        topology, content, config.ndl_config(ndl_bandwidth), in_range, excluded
     )
 
     classes = classify_users(content, in_range)

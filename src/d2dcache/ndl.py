@@ -60,35 +60,27 @@ def cachers_in_range(
     """K x K mask: user k caches the group user j requests and lies within
     ``radius_m`` of j.  Columns of idle users (no popular request) are empty;
     the diagonal marks the self-satisfied users."""
-    groups = content.requested_group
-    in_range = content.cache[:, groups] == 1
+    in_range = content.cached_group[:, None] == content.requested_group
     in_range &= distances < radius_m
-    in_range[:, groups < 0] = False
     return in_range
 
 
 def build_candidates(
-    topology: Topology,
-    content: ContentState,
-    radius_m: float,
-    excluded=frozenset(),
-    in_range: np.ndarray | None = None,
+    content: ContentState, in_range: np.ndarray, excluded=frozenset()
 ) -> np.ndarray:
     """Supply mask over the non-cooperative groups, skipping excluded users.
 
     ``supplies[k, j]``: user k caches the group j wants and is within the D2D
     radius of j, and neither is excluded.  The candidate receivers are the
     non-empty columns, the candidate transmitters the non-empty rows.
-    ``in_range`` is the drop's :func:`cachers_in_range` mask for
-    ``radius_m``, built here when not given.
+    ``in_range`` is the drop's :func:`cachers_in_range` mask.
     """
-    if in_range is None:
-        in_range = cachers_in_range(content, topology.distances, radius_m)
-    allowed = np.ones(topology.num_users, dtype=bool)
+    allowed = np.ones(content.num_users, dtype=bool)
     allowed[list(excluded)] = False
     # unserved demand of a group left to the NDLs
-    wants = content.unserved & (content.mode == 0)
-    receiving = wants.any(axis=1) & allowed
+    receiving = content.unserved & allowed
+    if content.coop_group is not None:
+        receiving &= content.requested_group != content.coop_group
     supplies = in_range & allowed[:, None]
     supplies &= receiving
     return supplies
@@ -463,15 +455,13 @@ def schedule_ndl(
     topology: Topology,
     content: ContentState,
     config: NdlConfig,
+    in_range: np.ndarray,
     excluded=frozenset(),
-    in_range: np.ndarray | None = None,
 ) -> NdlSchedule:
     """Run candidate construction, role resolution, matching, admission and
     max-min power allocation for the non-cooperative groups.  ``in_range``
-    is passed on to :func:`build_candidates`."""
-    supplies = build_candidates(
-        topology, content, config.radius_m, excluded, in_range=in_range
-    )
+    is the drop's :func:`cachers_in_range` mask."""
+    supplies = build_candidates(content, in_range, excluded)
     if not supplies.any():
         return NdlSchedule.empty()
     resolved = nt_nr_decision(supplies, topology, config.noise_w, config.sinr_target)

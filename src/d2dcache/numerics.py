@@ -199,11 +199,6 @@ def max_weight_matching(weights, is_edge=None) -> list[tuple[int, int]]:
     return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
-def matching_weight(graph: BipartiteGraph, pairs) -> float:
-    lookup = {(left, right): weight for left, right, weight in graph.edges}
-    return float(sum(lookup[pair] for pair in pairs))
-
-
 @dataclass
 class DualAscentResult:
     multipliers: np.ndarray

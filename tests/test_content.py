@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -71,13 +72,15 @@ def test_zipf_strictly_decreasing_for_positive_beta(beta, g):
 
 def test_place_caches_single_group():
     cat = Catalog(num_files=20, cache_size=10, num_popular=10)
-    cache = place_caches(5, cat, np.random.default_rng(0))
-    assert np.all(cache[:, 0] == 1)
+    cached = place_caches(5, cat, np.random.default_rng(0))
+    assert cached.shape == (5,)
+    assert np.all(cached == 0)
 
 
 def test_place_caches_concentration():
-    cache = place_caches(10_000, DEFAULT, np.random.default_rng(1))
-    counts = cache.sum(axis=0)
+    cached = place_caches(10_000, DEFAULT, np.random.default_rng(1))
+    counts = np.bincount(cached, minlength=DEFAULT.num_groups)
+    assert counts.size == DEFAULT.num_groups
     assert np.all(np.abs(counts - 1000) <= 100)
 
 
@@ -96,38 +99,39 @@ def drawn_ranks(num_users, catalog, seed):
 
 def test_requests_degenerate_zipf():
     cat = Catalog(zipf_beta=50.0)
-    request = draw_requests(200, cat, np.random.default_rng(2))
+    requested = draw_requests(200, cat, np.random.default_rng(2))
     assert np.all(drawn_ranks(200, cat, 2) == 1)
-    assert np.all(request[:, 0] == 1)
+    assert np.all(requested == 0)
 
 
 def test_requests_group_frequency_matches_oracle():
-    request = draw_requests(100_000, DEFAULT, np.random.default_rng(3))
-    freq = request[:, 0].mean()
+    requested = draw_requests(100_000, DEFAULT, np.random.default_rng(3))
+    freq = (requested == 0).mean()
     assert abs(freq - zipf_group_prob(0, DEFAULT)) < 0.01
 
 
 def test_request_row_structure():
     cat = DEFAULT
-    request = draw_requests(500, cat, np.random.default_rng(4))
+    requested = draw_requests(500, cat, np.random.default_rng(4))
     files = drawn_ranks(500, cat, 4)
-    sums = request.sum(axis=1)
-    assert np.all((sums == 0) | (sums == 1))
+    assert requested.shape == (500,)
     for k in range(500):
         rank = int(files[k])
         if rank > cat.num_popular:
-            assert sums[k] == 0
+            assert requested[k] == -1
         else:
             # files 1..10 form group 0, 11..20 group 1, ...
-            assert request[k, (rank - 1) // cat.cache_size] == 1
+            assert requested[k] == (rank - 1) // cat.cache_size
 
 
 def test_cache_rows_are_one_hot_and_sets_disjoint():
     rng = np.random.default_rng(6)
-    cache = place_caches(300, DEFAULT, rng)
-    request = draw_requests(300, DEFAULT, rng)
-    assert np.all(cache.sum(axis=1) == 1)
-    state = ContentState(cache, request)
+    cached = place_caches(300, DEFAULT, rng)
+    requested = draw_requests(300, DEFAULT, rng)
+    state = ContentState(cached, requested, DEFAULT.num_groups)
+    assert state.cache.shape == (300, DEFAULT.num_groups)
+    assert np.all(state.cache.sum(axis=1) == 1)
+    assert np.array_equal(state.cache.argmax(axis=1), cached)
     for caching, demand in zip(state.caching_sets, state.demand_sets):
         assert set(caching).isdisjoint(demand)
 
@@ -138,38 +142,38 @@ def classify(state, distances, radius):
 
 def three_user_instance():
     # user 0 caches g0 and requests g1; user 1 caches g1; user 2 caches g0, requests g0
-    cache = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.int8)
-    request = np.array([[0, 1], [0, 0], [1, 0]], dtype=np.int8)
+    cached = np.array([0, 1, 0])
+    requested = np.array([1, -1, 0])
     distances = np.array(
         [[0.0, 10.0, 50.0], [10.0, 0.0, 45.0], [50.0, 45.0, 0.0]]
     )
-    return cache, request, distances
+    return cached, requested, distances
 
 
 def test_classify_self_satisfied():
-    cache, request, distances = three_user_instance()
-    classes = classify(ContentState(cache, request), distances, 30.0)
+    cached, requested, distances = three_user_instance()
+    classes = classify(ContentState(cached, requested, 2), distances, 30.0)
     assert classes[2] == CLASS_SELF_SATISFIED
 
 
 def test_classify_d2d_with_supplier_in_range():
-    cache, request, distances = three_user_instance()
-    classes = classify(ContentState(cache, request), distances, 30.0)
+    cached, requested, distances = three_user_instance()
+    classes = classify(ContentState(cached, requested, 2), distances, 30.0)
     assert classes[0] == CLASS_D2D  # user 1 caches g1 at 10 m
     assert classes[1] == CLASS_IDLE
 
 
 def test_classify_cellular_without_cooperation():
-    cache, request, distances = three_user_instance()
+    cached, requested, distances = three_user_instance()
     distances[0, 1] = distances[1, 0] = 80.0  # push the only supplier out of range
-    classes = classify(ContentState(cache, request), distances, 30.0)
+    classes = classify(ContentState(cached, requested, 2), distances, 30.0)
     assert classes[0] == CLASS_CELLULAR
 
 
 def test_classify_coop_group_requester_is_d2d_regardless_of_range():
-    cache, request, distances = three_user_instance()
+    cached, requested, distances = three_user_instance()
     distances[0, 1] = distances[1, 0] = 80.0
-    classes = classify(ContentState(cache, request, 1), distances, 30.0)
+    classes = classify(ContentState(cached, requested, 2, 1), distances, 30.0)
     assert classes[0] == CLASS_D2D
 
 
@@ -204,13 +208,19 @@ def test_classify_matches_per_user_loop():
     catalog = Catalog(num_files=60, cache_size=5, num_popular=30, zipf_beta=0.8)
     for trial in range(300):
         k = int(rng.integers(2, 40))
-        cache = place_caches(k, catalog, rng)
-        request = draw_requests(k, catalog, rng)
+        cached = place_caches(k, catalog, rng)
+        requested = draw_requests(k, catalog, rng)
         distances = random_distances(rng, k)
         coop = None if trial % 3 == 0 else int(rng.integers(0, catalog.num_groups))
         radius = float(rng.uniform(5.0, 60.0))
-        expected = classify_loop(cache, request, distances, radius, coop)
-        state = ContentState(cache, request, coop)
+        expected = classify_loop(
+            one_hot(cached, catalog.num_groups),
+            one_hot(requested, catalog.num_groups),
+            distances,
+            radius,
+            coop,
+        )
+        state = ContentState(cached, requested, catalog.num_groups, coop)
         assert classify(state, distances, radius).tolist() == expected
 
 
@@ -246,11 +256,34 @@ def test_build_content_state_modes():
     assert state2.coop_group is None
     assert state2.mode.sum() == 0
     # identical draws regardless of the cooperate flag
-    assert np.array_equal(state.cache, state2.cache)
-    assert np.array_equal(state.request, state2.request)
+    assert np.array_equal(state.cached_group, state2.cached_group)
+    assert np.array_equal(state.requested_group, state2.requested_group)
 
 
-# --- references: the list-based content logic the derived views replaced ------------
+# --- references: the one-hot draws and list-based views the vectors replaced ---------
+
+
+def one_hot(groups, num_groups):
+    """K x G indicator matrix of per-user groups, with an all-zero row for -1."""
+    return (np.asarray(groups)[:, None] == np.arange(num_groups)).astype(np.int8)
+
+
+def one_hot_caches(num_users, catalog, rng):
+    """Each user caches one group drawn uniformly; the K x G one-hot matrix."""
+    groups = rng.integers(0, catalog.num_groups, size=num_users)
+    cache = np.zeros((num_users, catalog.num_groups), dtype=np.int8)
+    cache[np.arange(num_users), groups] = 1
+    return cache
+
+
+def one_hot_requests(num_users, catalog, rng):
+    """K x G group-request matrix, all-zero row beyond the popular set."""
+    probs = file_request_probs(catalog)
+    files = rng.choice(catalog.num_files, size=num_users, p=probs) + 1
+    request = np.zeros((num_users, catalog.num_groups), dtype=np.int8)
+    popular = np.flatnonzero(files <= catalog.num_popular)
+    request[popular, (files[popular] - 1) // catalog.cache_size] = 1
+    return request
 
 
 def reference_group_sets(cache, request):
@@ -304,6 +337,25 @@ def reference_coop_group(demand_sets):
     return int(np.argmax(sizes))
 
 
+def test_vector_draws_consume_generator_like_one_hot_draws():
+    catalogs = [
+        DEFAULT,
+        Catalog(num_files=20, cache_size=10, num_popular=10),  # one group
+        Catalog(num_files=50, cache_size=1, num_popular=30),
+        Catalog(num_files=40, cache_size=5, num_popular=40, zipf_beta=1.2),
+    ]
+    for catalog, seed in itertools.product(catalogs, range(200)):
+        k = 1 + seed % 60
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        cached = place_caches(k, catalog, rng)
+        requested = draw_requests(k, catalog, rng)
+        cache = one_hot_caches(k, catalog, ref)
+        request = one_hot_requests(k, catalog, ref)
+        assert np.array_equal(cached, cache.argmax(axis=1))
+        assert np.array_equal(requested, reference_requested_groups(request))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_derived_views_match_list_references():
     rng = np.random.default_rng(23)
     catalogs = [
@@ -316,8 +368,12 @@ def test_derived_views_match_list_references():
         (2, 20, 30, 100), catalogs, (True, False)
     ):
         for _ in range(45):
+            # the references draw one-hot matrices from a copy of the generator
+            ref = copy.deepcopy(rng)
             state = build_content_state(catalog, rng, k, cooperate)
-            caching, demand = reference_group_sets(state.cache, state.request)
+            cache = one_hot_caches(k, catalog, ref)
+            request = one_hot_requests(k, catalog, ref)
+            caching, demand = reference_group_sets(cache, request)
             assert len(state.caching_sets) == len(state.demand_sets) == len(caching)
             for got, want in zip(state.caching_sets, caching):
                 assert np.array_equal(got, want)
@@ -329,15 +385,14 @@ def test_derived_views_match_list_references():
             if coop is not None:
                 mode[coop] = 1
             assert np.array_equal(state.mode, mode)
+            assert np.array_equal(state.cache, cache)
             assert np.array_equal(
-                state.requested_group, reference_requested_groups(state.request)
+                state.requested_group, reference_requested_groups(request)
             )
             distances = random_distances(rng, k)
             radius = float(rng.uniform(1.0, 150.0))
             codes = classify(state, distances, radius).tolist()
-            labels = reference_classes(
-                state.cache, state.request, distances, radius, coop
-            )
+            labels = reference_classes(cache, request, distances, radius, coop)
             assert [LABELS[c] for c in codes] == labels
             draws += 1
     assert draws >= 1000

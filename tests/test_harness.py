@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from d2dcache.harness import (
     simulate_drop,
     write_results,
 )
-from d2dcache.ndl import build_candidates, sinrs
+from d2dcache.ndl import build_candidates, cachers_in_range, sinrs
 from d2dcache.topology import Topology
 
 
@@ -30,10 +31,9 @@ def small_config(**overrides):
     return SimConfig(**defaults)
 
 
-def make_content(cache, request, coop_group=None):
-    return ContentState(
-        np.asarray(cache, dtype=np.int8), np.asarray(request, dtype=np.int8), coop_group
-    )
+def make_content(cached, requested, num_groups, coop_group=None):
+    """Content from per-user cached and requested groups (-1: no popular request)."""
+    return ContentState(np.array(cached), np.array(requested), num_groups, coop_group)
 
 
 def manual_topology():
@@ -57,23 +57,7 @@ def test_manual_six_user_drop_traces_through_pipeline():
     topo = manual_topology()
     # groups: 0 is cooperative; users 0/1 cache it, 2/3 request it;
     # user 4 caches group 1 and serves user 5 over a 10 m link
-    cache = [
-        [1, 0, 0],
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 1, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-    ]
-    request = [
-        [0, 0, 0],
-        [0, 0, 0],
-        [1, 0, 0],
-        [1, 0, 0],
-        [0, 0, 0],
-        [0, 1, 0],
-    ]
-    content = make_content(cache, request, coop_group=0)
+    content = make_content([0, 0, 1, 1, 1, 2], [-1, -1, 0, 0, -1, 1], 3, coop_group=0)
     config = SimConfig(
         num_users=6, rmin_bps_per_hz=0.5, sus_epsilon=0.4, allow_full_rank=False
     )
@@ -109,23 +93,7 @@ def test_manual_six_user_drop_traces_through_pipeline():
 
 def test_nocoop_serves_coop_group_demand_via_ndl():
     topo = manual_topology()
-    cache = [
-        [1, 0, 0],
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 1, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-    ]
-    request = [
-        [0, 0, 0],
-        [0, 0, 0],
-        [1, 0, 0],
-        [1, 0, 0],
-        [0, 0, 0],
-        [0, 1, 0],
-    ]
-    content = make_content(cache, request, coop_group=None)
+    content = make_content([0, 0, 1, 1, 1, 2], [-1, -1, 0, 0, -1, 1], 3)
     config = SimConfig(num_users=6)
     result = run_pipeline(topo, content, config, "nocoop")
     links = result.ndl_schedule.links
@@ -145,7 +113,7 @@ def test_degenerate_drop_yields_zero_metrics():
     diff = positions[:, None, :] - positions[None, :, :]
     distances = np.sqrt((diff**2).sum(axis=-1))
     topo = Topology(positions, distances, np.full((2, 2), 1e-5 + 0j))
-    content = make_content([[1, 0], [1, 0]], [[1, 0], [1, 0]], coop_group=None)
+    content = make_content([0, 0], [0, 0], 2)
     config = SimConfig(num_users=2)
     result = run_pipeline(topo, content, config, "coop")
     m = result.metrics
@@ -165,8 +133,8 @@ def test_modes_share_topology_and_content():
     nocoop = simulate_drop(config, 55, mode="nocoop")
     assert np.array_equal(coop.topology.positions, nocoop.topology.positions)
     assert np.array_equal(coop.topology.channels, nocoop.topology.channels)
-    assert np.array_equal(coop.content.cache, nocoop.content.cache)
-    assert np.array_equal(coop.content.request, nocoop.content.request)
+    assert np.array_equal(coop.content.cached_group, nocoop.content.cached_group)
+    assert np.array_equal(coop.content.requested_group, nocoop.content.requested_group)
     assert nocoop.metrics.served_crs == 0
     assert nocoop.metrics.cdl_sum_rate_bps == 0.0
     assert nocoop.content.coop_group is None
@@ -178,7 +146,7 @@ def test_nocoop_single_pair_uses_whole_band():
     distances = np.sqrt((diff**2).sum(axis=-1))
     channels = np.array([[0.0, 1e-4], [1e-9, 0.0]], dtype=complex)
     topo = Topology(positions, distances, channels)
-    content = make_content([[1, 0], [0, 1]], [[0, 0], [1, 0]])
+    content = make_content([0, 1], [-1, 0], 2)
     config = SimConfig(num_users=2)
     result = run_pipeline(topo, content, config, "nocoop")
     pmax = 10.0 ** ((23.0 - 30.0) / 10.0)
@@ -223,9 +191,10 @@ def test_drop_level_bounds_and_rate_floors():
             excluded = set(result.cdl_schedule.transmitters.tolist()) | set(
                 result.cdl_schedule.receivers.tolist()
             )
-        supplies = build_candidates(
-            result.topology, content, config.d2d_radius_m, excluded
+        in_range = cachers_in_range(
+            content, result.topology.distances, config.d2d_radius_m
         )
+        supplies = build_candidates(content, in_range, excluded)
         assert result.metrics.served_nrs <= supplies.any(axis=0).sum()
         assert np.all(result.cdl_schedule.rates_bps >= floor_c * (1 - 1e-6))
         assert np.all(result.ndl_schedule.rates_bps >= floor_n * (1 - 1e-6))
@@ -239,7 +208,7 @@ def test_single_drop_cell_equals_drop_metrics():
     row = run_cell(config, num_users=config.num_users, beta=config.zipf_beta, mode="coop")
     metrics = run_drop(config, config.base_seed)
     assert row["drops"] == 1
-    for name, value in metrics.as_dict().items():
+    for name, value in dataclasses.asdict(metrics).items():
         assert row[f"mean_{name}"] == pytest.approx(value)
         assert row[f"stderr_{name}"] == 0.0
 
@@ -298,6 +267,30 @@ def test_sweep_rows_and_worker_invariance():
     config.workers = 3
     with_workers = run_sweep(config)
     assert with_workers == serial
+
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.csv"
+COUNT_METRICS = ("served_crs", "served_nrs", "self_satisfied", "cellular", "removal_iterations")
+
+
+def test_sweep_matches_golden_results():
+    """An 8-cell sweep reproduces the committed results table.
+
+    Counts must match exactly; rates and standard errors within rel 1e-9, so
+    a different BLAS build does not break the test.  A change that alters
+    results by design regenerates the file with ``write_results``.
+    """
+    config = SimConfig(betas=[0.6, 1.2], user_counts=[20, 40], drops=25, base_seed=101)
+    rows = run_sweep(config)
+    golden = read_results(GOLDEN_SWEEP)
+    assert len(rows) == len(golden) == 8
+    exact = ("beta", "K", "mode", "drops") + tuple(f"mean_{n}" for n in COUNT_METRICS)
+    for got, want in zip(rows, golden):
+        for column in CSV_COLUMNS:
+            if column in exact:
+                assert got[column] == want[column], column
+            else:
+                assert got[column] == pytest.approx(want[column], rel=1e-9), column
 
 
 def test_drops_run_in_calling_thread_in_seed_order(monkeypatch):

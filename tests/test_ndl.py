@@ -13,6 +13,7 @@ from d2dcache.ndl import (
     NdlConfig,
     RemovalOutcome,
     build_candidates,
+    cachers_in_range,
     check_and_remove,
     dc_power_allocation,
     link_gain_matrix,
@@ -51,10 +52,31 @@ def topology_with_gains(gains, positions=None):
     return topology_with(np.sqrt(np.asarray(gains, dtype=float)) + 0j, positions)
 
 
-def content_from(cache, request, coop_group=None):
-    return ContentState(
-        np.asarray(cache, dtype=np.int8), np.asarray(request, dtype=np.int8), coop_group
-    )
+def content_from(cached, requested, num_groups, coop_group=None):
+    """Content from per-user cached and requested groups (-1: no popular request)."""
+    return ContentState(np.array(cached), np.array(requested), num_groups, coop_group)
+
+
+def random_content(rng, k, num_groups):
+    """Random caches; each user requests one random group unless it caches it."""
+    cached = rng.integers(0, num_groups, k)
+    requested = np.full(k, -1)
+    for u in range(k):
+        g = rng.integers(0, num_groups)
+        if cached[u] != g:
+            requested[u] = g
+    return content_from(cached, requested, num_groups)
+
+
+def one_hot(groups, num_groups):
+    """K x G indicator matrix of per-user groups, with an all-zero row for -1."""
+    return (np.asarray(groups)[:, None] == np.arange(num_groups)).astype(np.int8)
+
+
+def candidates(topology, content, radius_m, excluded=frozenset()):
+    """The supply mask built on the drop's in-range mask for ``radius_m``."""
+    in_range = cachers_in_range(content, topology.distances, radius_m)
+    return build_candidates(content, in_range, excluded)
 
 
 # --- candidate construction -----------------------------------------------------
@@ -71,8 +93,8 @@ def suppliers_of(supplies):
 def test_no_cacher_in_range_means_no_receivers():
     positions = np.array([[0.0, 0.0], [90.0, 90.0]])
     topo = topology_with(np.full((2, 2), 1e-5 + 0j), positions)
-    content = content_from([[1, 0], [0, 1]], [[0, 0], [1, 0]])
-    supplies = build_candidates(topo, content, radius_m=30.0)
+    content = content_from([0, 1], [-1, 0], 2)
+    supplies = candidates(topo, content, radius_m=30.0)
     assert supplies.shape == (2, 2) and supplies.dtype == bool
     assert not supplies.any()
 
@@ -80,8 +102,8 @@ def test_no_cacher_in_range_means_no_receivers():
 def test_supplier_within_radius_is_candidate():
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
     topo = topology_with(np.full((2, 2), 1e-5 + 0j), positions)
-    content = content_from([[1, 0], [0, 1]], [[0, 0], [1, 0]])
-    supplies = build_candidates(topo, content, radius_m=30.0)
+    content = content_from([0, 1], [-1, 0], 2)
+    supplies = candidates(topo, content, radius_m=30.0)
     assert suppliers_of(supplies) == {1: [0]}
 
 
@@ -91,29 +113,24 @@ def test_candidates_match_bruteforce_scan():
         k, g = 10, 3
         positions = rng.uniform(0, 100, (k, 2))
         topo = topology_with(np.full((k, k), 1e-5 + 0j), positions)
-        cache = np.zeros((k, g), dtype=np.int8)
-        cache[np.arange(k), rng.integers(0, g, k)] = 1
-        request = np.zeros((k, g), dtype=np.int8)
+        cached = rng.integers(0, g, k)
         req_groups = rng.integers(-1, g, k)
-        for u, rg in enumerate(req_groups):
-            if rg >= 0:
-                request[u, rg] = 1
         coop = int(rng.integers(0, g))
-        content = content_from(cache, request, coop_group=coop)
+        content = content_from(cached, req_groups, g, coop_group=coop)
         excluded = set(rng.choice(k, size=2, replace=False).tolist())
-        supplies = build_candidates(topo, content, 30.0, excluded)
+        supplies = candidates(topo, content, 30.0, excluded)
         # independent pairwise scan
         expected = {}
         for j in range(k):
             rg = req_groups[j]
-            if rg < 0 or rg == coop or cache[j, rg] == 1 or j in excluded:
+            if rg < 0 or rg == coop or cached[j] == rg or j in excluded:
                 continue
             near = [
                 i
                 for i in range(k)
                 if i != j
                 and i not in excluded
-                and cache[i, rg] == 1
+                and cached[i] == rg
                 and topo.distances[i, j] < 30.0
             ]
             if near:
@@ -124,10 +141,8 @@ def test_candidates_match_bruteforce_scan():
 def test_excluded_users_never_appear():
     positions = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
     topo = topology_with(np.full((3, 3), 1e-5 + 0j), positions)
-    content = content_from(
-        [[1, 0], [0, 1], [1, 0]], [[0, 1], [1, 0], [0, 1]]
-    )
-    supplies = build_candidates(topo, content, 30.0, excluded={0})
+    content = content_from([0, 1, 0], [1, 0, 1], 2)
+    supplies = candidates(topo, content, 30.0, excluded={0})
     assert supplies.any()
     assert not supplies[0].any() and not supplies[:, 0].any()
 
@@ -141,7 +156,7 @@ def ambiguous_setup(gain_uv, gain_vu, cross=1e-14):
     gains[0, 1] = gain_uv
     gains[1, 0] = gain_vu
     topo = topology_with_gains(gains, np.array([[0.0, 0.0], [5.0, 0.0]]))
-    content = content_from([[1, 0], [0, 1]], [[0, 1], [1, 0]])
+    content = content_from([0, 1], [1, 0], 2)
     return topo, content
 
 
@@ -162,7 +177,7 @@ def test_costs_degenerate_cases():
 
 def test_tie_resolves_to_receiver():
     topo, content = ambiguous_setup(2e-9, 2e-9)
-    supplies = build_candidates(topo, content, 30.0)
+    supplies = candidates(topo, content, 30.0)
     ambiguous, alpha, beta = role_costs(supplies, topo, NOISE, GAMMA)
     assert ambiguous.tolist() == [0, 1]
     # a mutually ambiguous pair is an exact cost tie, so both stay receivers
@@ -183,9 +198,7 @@ def four_user_ambiguous_setup(gain_02, gain_03, gain_10, gain_12, gain_13):
     gains[1, 3] = gain_13
     positions = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
     topo = topology_with_gains(gains, positions)
-    cache = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    request = [[0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
-    content = content_from(cache, request)
+    content = content_from([0, 1, 2, 3], [1, -1, 0, 1], 4)
     return topo, content
 
 
@@ -194,7 +207,7 @@ def test_cheap_transmitter_role_wins():
     topo, content = four_user_ambiguous_setup(
         gain_02=1e-8, gain_03=1e-13, gain_10=1e-11, gain_12=1e-9, gain_13=1e-9
     )
-    supplies = build_candidates(topo, content, 30.0)
+    supplies = candidates(topo, content, 30.0)
     ambiguous, alpha, beta = role_costs(supplies, topo, NOISE, GAMMA)
     assert ambiguous.tolist() == [0]
     assert alpha[0] < beta[0]
@@ -208,7 +221,7 @@ def test_cheap_receiver_role_wins():
     topo, content = four_user_ambiguous_setup(
         gain_02=1e-10, gain_03=1e-8, gain_10=1e-8, gain_12=1e-14, gain_13=1e-14
     )
-    supplies = build_candidates(topo, content, 30.0)
+    supplies = candidates(topo, content, 30.0)
     ambiguous, alpha, beta = role_costs(supplies, topo, NOISE, GAMMA)
     assert ambiguous.tolist() == [0]
     assert alpha[0] > beta[0]
@@ -248,15 +261,8 @@ def test_costs_match_independent_recomputation(monkeypatch):
         channels = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * 1e-5
         np.fill_diagonal(channels, 0.0)
         topo = topology_with(channels, positions)
-        cache = np.zeros((k, 2), dtype=np.int8)
-        cache[np.arange(k), rng.integers(0, 2, k)] = 1
-        request = np.zeros((k, 2), dtype=np.int8)
-        for u in range(k):
-            g = rng.integers(0, 2)
-            if cache[u, g] == 0:
-                request[u, g] = 1
-        content = content_from(cache, request)
-        supplies = build_candidates(topo, content, 60.0)
+        content = random_content(rng, k, 2)
+        supplies = candidates(topo, content, 60.0)
         assert_costs_match_pairwise(supplies, topo, NOISE, GAMMA)
 
     # the role resolution of K=100 pipeline drops
@@ -285,15 +291,8 @@ def test_phase_one_preserves_non_ambiguous_candidates():
         channels = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * 1e-5
         np.fill_diagonal(channels, 0.0)
         topo = topology_with(channels, positions)
-        cache = np.zeros((k, 3), dtype=np.int8)
-        cache[np.arange(k), rng.integers(0, 3, k)] = 1
-        request = np.zeros((k, 3), dtype=np.int8)
-        for u in range(k):
-            g = rng.integers(0, 3)
-            if cache[u, g] == 0:
-                request[u, g] = 1
-        content = content_from(cache, request)
-        supplies = build_candidates(topo, content, 50.0)
+        content = random_content(rng, k, 3)
+        supplies = candidates(topo, content, 50.0)
         ambiguous, alpha, beta = role_costs(supplies, topo, NOISE, GAMMA)
         resolved = nt_nr_decision(supplies, topo, NOISE, GAMMA)
         receives, sends = supplies.any(axis=0), supplies.any(axis=1)
@@ -315,8 +314,8 @@ def test_phase_one_preserves_non_ambiguous_candidates():
 def test_single_pair_selected_directly():
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
     topo = topology_with(np.full((2, 2), 1e-5 + 0j), positions)
-    content = content_from([[1, 0], [0, 1]], [[0, 0], [1, 0]])
-    supplies = build_candidates(topo, content, 30.0)
+    content = content_from([0, 1], [-1, 0], 2)
+    supplies = candidates(topo, content, 30.0)
     assert select_links(supplies, topo) == [(0, 1)]
 
 
@@ -325,15 +324,13 @@ def shared_transmitter_setup(gain_a, gain_b):
     gains[0, 1] = gain_a
     gains[0, 2] = gain_b
     topo = topology_with_gains(gains, np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]))
-    content = content_from(
-        [[1, 0], [0, 1], [0, 1]], [[0, 0], [1, 0], [1, 0]]
-    )
+    content = content_from([0, 1, 1], [-1, 0, 0], 2)
     return topo, content
 
 
 def test_shared_transmitter_weight_modes():
     topo, content = shared_transmitter_setup(1e-8, 1e-9)
-    supplies = build_candidates(topo, content, 30.0)
+    supplies = candidates(topo, content, 30.0)
     # reciprocal weights favor the weaker channel, gain weights the stronger
     assert select_links(supplies, topo, "reciprocal") == [(0, 2)]
     assert select_links(supplies, topo, "gain") == [(0, 1)]
@@ -349,15 +346,8 @@ def test_matching_respects_one_to_one():
         channels = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * 1e-5
         np.fill_diagonal(channels, 0.0)
         topo = topology_with(channels, positions)
-        cache = np.zeros((k, 2), dtype=np.int8)
-        cache[np.arange(k), rng.integers(0, 2, k)] = 1
-        request = np.zeros((k, 2), dtype=np.int8)
-        for u in range(k):
-            g = rng.integers(0, 2)
-            if cache[u, g] == 0:
-                request[u, g] = 1
-        content = content_from(cache, request)
-        supplies = build_candidates(topo, content, 50.0)
+        content = random_content(rng, k, 2)
+        supplies = candidates(topo, content, 50.0)
         resolved = nt_nr_decision(supplies, topo, NOISE, GAMMA)
         links = select_links(resolved, topo)
         txs = [tx for tx, _ in links]
@@ -376,10 +366,14 @@ def dict_candidates(topology, content, radius_m, excluded=frozenset()):
     """Receiver -> in-range suppliers, only for receivers with at least one."""
     allowed = np.ones(topology.num_users, dtype=bool)
     allowed[list(excluded)] = False
-    wants = (content.request == 1) & (content.cache == 0) & (content.mode == 0)
+    cache = one_hot(content.cached_group, content.num_groups)
+    request = one_hot(content.requested_group, content.num_groups)
+    wants = (request == 1) & (cache == 0)
+    if content.coop_group is not None:
+        wants[:, content.coop_group] = False
     receivers = np.flatnonzero(wants.any(axis=1) & allowed)
     near = (
-        (content.cache[:, content.requested_group[receivers]] == 1)
+        (cache[:, content.requested_group[receivers]] == 1)
         & (topology.distances[:, receivers] < radius_m)
         & allowed[:, None]
     ).T
@@ -390,6 +384,15 @@ def dict_candidates(topology, content, radius_m, excluded=frozenset()):
         for j, near_j, count in zip(receivers.tolist(), lists, counts)
         if count
     }
+
+
+def reference_in_range(content, distances, radius_m):
+    """The in-range mask from the K x G cache matrix, idle columns cleared."""
+    groups = content.requested_group
+    cache = one_hot(content.cached_group, content.num_groups)
+    in_range = (cache[:, groups] == 1) & (distances < radius_m)
+    in_range[:, groups < 0] = False
+    return in_range
 
 
 def dict_role_costs(gains, supplies, receivers, columns, scale):
@@ -491,13 +494,16 @@ def test_mask_front_end_matches_dict_reference(monkeypatch):
     config = harness.SimConfig()
     ndl_config = config.ndl_config()
     noise, target = ndl_config.noise_w, ndl_config.sinr_target
-    build = ndl.build_candidates
+    schedule = harness.schedule_ndl
     with_candidates = []
 
-    def checking(topology, content, radius_m, excluded=frozenset(), in_range=None):
-        supplies = build(topology, content, radius_m, excluded, in_range=in_range)
-        # the drop's shared mask gives what a mask built here gives
-        assert supplies.tobytes() == build(topology, content, radius_m, excluded).tobytes()
+    def checking(topology, content, ndl_config, in_range, excluded=frozenset()):
+        radius_m = ndl_config.radius_m
+        # the drop's shared mask is the one the cache matrix gives
+        assert in_range.tobytes() == reference_in_range(
+            content, topology.distances, radius_m
+        ).tobytes()
+        supplies = build_candidates(content, in_range, excluded)
         suppliers = dict_candidates(topology, content, radius_m, excluded)
         assert supplies.shape == (topology.num_users,) * 2
         assert suppliers_of(supplies) == suppliers
@@ -519,9 +525,9 @@ def test_mask_front_end_matches_dict_reference(monkeypatch):
             assert select_links(resolved, topology, mode) == dict_links(
                 resolved_ref, topology, mode
             )
-        return supplies
+        return schedule(topology, content, ndl_config, in_range, excluded)
 
-    monkeypatch.setattr(ndl, "build_candidates", checking)
+    monkeypatch.setattr(harness, "schedule_ndl", checking)
     for num_users, mode, beta in REFERENCE_CELLS:
         for seed in range(1, 201):
             harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
@@ -1089,9 +1095,10 @@ def test_schedule_ndl_invariants_on_random_drops():
         excluded = set()
         if content.coop_group is not None:
             excluded = set(
-                int(u) for u in content.caching_sets[content.coop_group]
+                np.flatnonzero(content.cached_group == content.coop_group).tolist()
             )
-        schedule = schedule_ndl(topo, content, config, excluded)
+        in_range = cachers_in_range(content, topo.distances, config.radius_m)
+        schedule = schedule_ndl(topo, content, config, in_range, excluded)
         txs, rxs = schedule.transmitters, schedule.receivers
         assert set(txs).isdisjoint(rxs)
         assert len(set(rxs)) == len(rxs) and len(set(txs)) == len(txs)
@@ -1099,8 +1106,8 @@ def test_schedule_ndl_invariants_on_random_drops():
         for tx, rx in schedule.links:
             assert topo.distances[tx, rx] < config.radius_m
             g = content.requested_group[rx]
-            assert content.mode[g] == 0
-            assert content.cache[tx, g] == 1
+            assert g >= 0 and g != content.coop_group
+            assert content.cached_group[tx] == g
         if schedule.num_served:
             achieved = sinrs(schedule.powers_w, schedule.gain_matrix, config.noise_w)
             assert np.all(achieved >= schedule.sinr_targets * (1 - 1e-6))

@@ -14,7 +14,6 @@ from d2dcache.numerics import (
     SingularSystemError,
     certify_solution,
     gs_residual,
-    matching_weight,
     max_weight_matching,
     projected_dual_ascent,
     solve_linear,
@@ -296,6 +295,12 @@ def test_solve_rejects_singular_and_ill_conditioned():
 
 
 # --- maximum weight bipartite matching ----------------------------------------
+
+
+def matching_weight(graph: BipartiteGraph, pairs) -> float:
+    """Total weight of the given (left, right) pairs."""
+    lookup = {(left, right): weight for left, right, weight in graph.edges}
+    return float(sum(lookup[pair] for pair in pairs))
 
 
 def brute_force_matching_weight(graph: BipartiteGraph) -> float:
