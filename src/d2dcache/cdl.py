@@ -310,7 +310,6 @@ class CdlSchedule:
     powers_w: np.ndarray
     rates_bps: np.ndarray
     newton_steps: int = 0             # of the one power solve on the final set
-    power_certified: bool = True      # that solve met its duality-gap certificate
 
     @classmethod
     def empty(cls, transmitters=()) -> "CdlSchedule":
@@ -348,7 +347,8 @@ def schedule_cdl(
     and the minimum-power pre-check :func:`qos_floor_powers` passes;
     otherwise selection stops.  Survivors must keep their normalized channel
     correlation to the admitted residual below ``config.epsilon``.  The
-    powers come from one certified :func:`allocate_cdl_power` solve.
+    powers come from one :func:`allocate_cdl_power` solve; an ArithmeticError
+    is raised if it misses its duality-gap certificate.
     """
     tx = np.asarray(sorted(transmitters), dtype=int)
     pool = np.asarray(sorted(int(c) for c in candidates), dtype=int)
@@ -403,6 +403,8 @@ def schedule_cdl(
     )
     # the last admission passed this very pre-check, so the solve is feasible
     assert result is not None
+    if not result.converged:
+        raise ArithmeticError("CDL power failed its duality-gap certificate")
     rates = cdl_rates(
         result.powers_w, h_sel, precoder.normalized, config.noise_w, config.bandwidth_hz
     )
@@ -414,5 +416,4 @@ def schedule_cdl(
         powers_w=result.powers_w,
         rates_bps=rates,
         newton_steps=result.iterations,
-        power_certified=result.converged,
     )

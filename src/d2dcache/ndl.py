@@ -214,23 +214,6 @@ def admission_system(gains: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return system
 
 
-def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
-    """Non-negative powers putting every link exactly at its SINR target, or
-    None if :func:`numerics.solve_linear` refuses the admission system
-    (singular, or its solution is negative or not certified)."""
-    gains = np.asarray(gain_matrix, dtype=float)
-    n = gains.shape[0]
-    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
-    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
-    if n == 0:
-        return np.zeros(0)
-    system = admission_system(gains, targets)
-    try:
-        return numerics.solve_linear(system, noise)
-    except SingularSystemError:
-        return None
-
-
 def sinrs(powers_w, gain_matrix, noise_w) -> np.ndarray:
     powers_w = np.asarray(powers_w, dtype=float)
     gains = np.asarray(gain_matrix, dtype=float)
@@ -372,12 +355,20 @@ class DcaResult:
 def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult:
     """Exact max-min SINR power allocation over the power box.
 
-    With F[j, l] = G[l, j] / G[j, j] (l != j) and v = noise / diag(G), the
-    optimum SINR is 1 / max_i rho(F + v e_i^T / pmax_i) (Zander 1992): at the
-    optimum every link sits at the same SINR and the binding link at pmax.
-    The powers come from the minimum-power solve at that SINR.  The result is
-    certified (powers in the box, one of them at pmax, optimum no lower than
-    the targets) or an ArithmeticError is raised.
+    With F[j, l] = G[l, j] / G[j, j] (l != j), v = noise / diag(G) and
+    B_i = F + v e_i^T / pmax_i, the optimum SINR is 1 / rho(B_b) at the
+    binding link b = argmax_i rho(B_i) (Zander 1992), and the powers are the
+    Perron vector of B_b scaled so the largest p_i / pmax_i is 1.  One eigen
+    decomposition gives both; no linear system is solved.  The scale is the
+    minimum over all links: at extreme SNR the rho(B_i) tie to rounding.
+
+    The result is certified or an ArithmeticError is raised: every power
+    positive, the largest p_i / pmax_i within ``TOL.power_feasibility_rel``
+    of 1, every SINR within ``TOL.sinr_match_rel`` of the optimum, which is
+    no lower than the targets.  The SINR spread bounds the gap to the true
+    optimum however p was computed: given p_b = pmax_b and a feasible q with
+    min SINR(q) > max SINR(p), c = min_i q_i / p_i, reached at k, exceeds 1
+    (else SINR_k(q) <= SINR_k(p)), so q_b > pmax_b, a contradiction.
 
     The function and result names date from the D.C. (convex-concave)
     procedure this replaced; the benchmark tracer reads them by name.
@@ -396,14 +387,19 @@ def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult
     stack = np.repeat(coupling[None, :, :], n, axis=0)
     idx = np.arange(n)
     stack[idx, :, idx] += (noise / diag)[None, :] / pmax[:, None]
-    radius = np.max(np.abs(np.linalg.eigvals(stack)), axis=1)
-    sinr = float(1.0 / np.max(radius))
+    values, vectors = np.linalg.eig(stack)
+    radius = np.abs(values).max(axis=1)
+    b = int(radius.argmax())
+    sinr = float(1.0 / radius[b])
+    perron = np.abs(vectors[b, :, np.abs(values[b]).argmax()])
+    powers = perron * np.min(pmax / perron)
 
-    powers = min_power_vector(gains, noise, sinr)
-    if (
-        powers is None
-        or abs(np.max(powers / pmax) - 1.0) > TOL.power_feasibility_rel
-        or np.any(sinr < targets * (1.0 - TOL.sinr_match_rel))
+    spread = np.abs(sinrs(powers, gains, noise) - sinr)
+    if not (
+        np.all(powers > 0.0)
+        and abs(np.max(powers / pmax) - 1.0) <= TOL.power_feasibility_rel
+        and np.all(spread <= TOL.sinr_match_rel * sinr)
+        and np.all(sinr >= targets * (1.0 - TOL.sinr_match_rel))
     ):
         raise ArithmeticError(f"max-min power at SINR {sinr!r} failed its certificate")
     trajectory = [float(np.log2(1.0 + np.min(targets))), float(np.log2(1.0 + sinr))]

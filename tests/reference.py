@@ -1,0 +1,22 @@
+"""Reference implementations the tests compare the library against."""
+
+import numpy as np
+
+from d2dcache import ndl, numerics
+
+
+def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
+    """Non-negative powers putting every link exactly at its SINR target, or
+    None if :func:`numerics.solve_linear` refuses the admission system
+    (singular, or its solution is negative or not certified)."""
+    gains = np.asarray(gain_matrix, dtype=float)
+    n = gains.shape[0]
+    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
+    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
+    if n == 0:
+        return np.zeros(0)
+    system = ndl.admission_system(gains, targets)
+    try:
+        return numerics.solve_linear(system, noise)
+    except numerics.SingularSystemError:
+        return None

@@ -10,6 +10,7 @@ import pytest
 from d2dcache import cdl, ndl, numerics
 from d2dcache.cli import main
 from d2dcache.harness import SimConfig, run_cell
+from reference import min_power_vector
 
 NOISE = 1e-12
 PMAX = 10.0 ** ((23.0 - 30.0) / 10.0)
@@ -126,10 +127,11 @@ def test_criterion_3_link_check_exactness():
         n = int(rng.integers(2, 7))
         gains = random_link_gains(rng, n)
         targets = rng.uniform(0.3, 3.0, n)
-        powers = ndl.min_power_vector(gains, NOISE, targets)
-        if powers is None or np.any(powers < 0):
+        links = [(i, n + i) for i in range(n)]
+        admitted = ndl.check_and_remove(links, gains, NOISE, targets, np.inf)
+        if admitted.iterations > 0:
             continue
-        achieved = ndl.sinrs(powers, gains, NOISE)
+        achieved = ndl.sinrs(admitted.min_powers_w, gains, NOISE)
         worst = max(worst, float(np.max(np.abs(achieved / targets - 1.0))))
         checked += 1
     elapsed = time.perf_counter() - start
@@ -193,7 +195,7 @@ def bisection_max_min_sinr(gains, noise, pmax, rel_tol=1e-13):
     lo, hi = 0.0, float(np.min(pmax * np.diag(gains) / noise))
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        p = ndl.min_power_vector(gains, noise, mid)
+        p = min_power_vector(gains, noise, mid)
         if p is not None and np.all(p >= 0.0) and np.all(p <= pmax):
             lo = mid
         else:
@@ -213,7 +215,7 @@ def test_criterion_5_dca_certificate_and_oracle():
     while total < 200:
         n = 2 if total < 60 else int(rng.integers(2, 9))
         gains = random_link_gains(rng, n)
-        p_start = ndl.min_power_vector(gains, NOISE, gamma)
+        p_start = min_power_vector(gains, NOISE, gamma)
         if p_start is None or np.any(p_start < 0) or np.any(p_start > PMAX):
             continue
         res = ndl.dc_power_allocation(gains, NOISE, PMAX, gamma)

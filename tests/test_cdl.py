@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,25 @@ def test_schedule_cdl_solves_power_once(monkeypatch):
         harness.run_drop(config, seed, num_users=30, beta=1.2, mode="coop")
     assert any(served > 0 for served, _ in observed)
     assert all(count == (1 if served > 0 else 0) for served, count in observed)
+
+
+def test_uncertified_power_solve_fails_the_drop(monkeypatch):
+    config = harness.SimConfig(drops=20, base_seed=1)
+    cell = dict(num_users=30, beta=1.2, mode="coop")
+    first = next(
+        seed
+        for seed in range(1, 21)
+        if harness.simulate_drop(config, seed, **cell).cdl_schedule.num_served
+    )
+    solve = cdl.allocate_cdl_power
+
+    def uncertified(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(cdl, "allocate_cdl_power", uncertified)
+    reason = f"drop seed {first} of cell K=30, .*duality-gap certificate"
+    with pytest.raises(ArithmeticError, match=reason):
+        harness.run_cell(config, **cell)
 
 
 # --- scheduling -------------------------------------------------------------------

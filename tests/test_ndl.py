@@ -17,7 +17,6 @@ from d2dcache.ndl import (
     check_and_remove,
     dc_power_allocation,
     link_gain_matrix,
-    min_power_vector,
     ndl_rates,
     nt_nr_decision,
     role_costs,
@@ -28,6 +27,7 @@ from d2dcache.ndl import (
 from d2dcache.numerics import TOL
 from d2dcache.topology import SimGeometry, Topology, build_topology
 from d2dcache.content import build_content_state, Catalog
+from reference import min_power_vector
 
 NOISE = 1e-12
 PMAX = 0.2
@@ -538,15 +538,22 @@ def test_mask_front_end_matches_dict_reference(monkeypatch):
 # --- link checking -------------------------------------------------------------------
 
 
+def solve_admission(gains, noise_w, sinr_targets):
+    """Minimum powers from the two library pieces the pipeline joins."""
+    n = gains.shape[0]
+    targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
+    return numerics.solve_linear(ndl.admission_system(gains, targets), np.full(n, noise_w))
+
+
 def test_min_power_single_link():
     gains = np.array([[4e-9]])
-    p = min_power_vector(gains, NOISE, GAMMA)
+    p = solve_admission(gains, NOISE, GAMMA)
     assert p[0] == pytest.approx(NOISE * GAMMA / 4e-9, rel=1e-12)
 
 
 def test_min_power_decoupled_links():
     gains = np.diag([2e-9, 5e-9])
-    p = min_power_vector(gains, NOISE, np.array([GAMMA, 2 * GAMMA]))
+    p = solve_admission(gains, NOISE, np.array([GAMMA, 2 * GAMMA]))
     assert p[0] == pytest.approx(NOISE * GAMMA / 2e-9, rel=1e-12)
     assert p[1] == pytest.approx(NOISE * 2 * GAMMA / 5e-9, rel=1e-12)
 
@@ -559,8 +566,9 @@ def test_min_power_reproduces_targets():
         gains = rng.uniform(0.5, 2.0, (n, n)) * 1e-11
         gains[np.arange(n), np.arange(n)] = rng.uniform(1.0, 5.0, n) * 1e-9
         targets = rng.uniform(0.3, 3.0, n)
-        p = min_power_vector(gains, NOISE, targets)
-        if p is None or np.any(p < 0):
+        try:
+            p = solve_admission(gains, NOISE, targets)
+        except numerics.SingularSystemError:
             continue
         achieved = sinrs(p, gains, NOISE)
         assert np.max(np.abs(achieved / targets - 1.0)) < 1e-6
@@ -569,13 +577,14 @@ def test_min_power_reproduces_targets():
 
 def test_min_power_singular_system():
     gains = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert min_power_vector(gains, NOISE, np.array([1.0, 1.0])) is None
+    with pytest.raises(numerics.SingularSystemError):
+        solve_admission(gains, NOISE, np.array([1.0, 1.0]))
 
 
 def test_min_power_rejects_nonpositive_targets():
     gains = np.diag([1e-9, 2e-9]) + 1e-13
     with pytest.raises(ValueError):
-        min_power_vector(gains, NOISE, np.array([0.0, 1.0]))
+        solve_admission(gains, NOISE, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         NdlConfig(rmin_bps_per_hz=0.0).validate()
 
@@ -1241,11 +1250,60 @@ def test_certificate_bound_holds_in_exact_arithmetic(monkeypatch):
     assert worst > TOL.forward_error_rel  # refused systems are covered too
 
 
-def test_high_snr_drop_completes_with_powers_in_the_box():
-    # at -140 dBm this drop's max-min solve failed the normwise residual test
-    # that the componentwise certificate replaced
-    config = harness.SimConfig(noise_dbm=-140.0)
-    drop = harness.simulate_drop(config, 73, num_users=100, beta=0.6, mode="nocoop")
+def exact_sinrs(powers, gains, noise):
+    """SINRs of float powers in exact rational arithmetic."""
+    n = len(powers)
+    p = [Fraction(v) for v in powers]
+    g = [[Fraction(v) for v in row] for row in gains]
+    return [
+        p[j] * g[j][j] / (sum(p[i] * g[i][j] for i in range(n) if i != j) + Fraction(noise))
+        for j in range(n)
+    ]
+
+
+def test_max_min_certificate_holds_in_exact_arithmetic(monkeypatch):
+    solve = ndl.dc_power_allocation
+    calls = []
+
+    def recording(gains, noise_w, pmax_w, sinr_targets):
+        result = solve(gains, noise_w, pmax_w, sinr_targets)
+        calls.append((gains, noise_w, pmax_w, result.powers_w))
+        return result
+
+    monkeypatch.setattr(ndl, "dc_power_allocation", recording)
+    for noise_dbm in (-90.0, -150.0):
+        config = harness.SimConfig(noise_dbm=noise_dbm)
+        for seed in range(1, 101):
+            harness.run_drop(config, seed, num_users=100, beta=0.6, mode="nocoop")
+    assert len(calls) > 150
+    tol = Fraction(TOL.power_feasibility_rel)
+    for gains, noise_w, pmax_w, powers in calls:
+        ratios = [Fraction(v) / Fraction(pmax_w) for v in powers]
+        assert max(ratios) <= 1 + tol
+        assert max(ratios) >= 1 - tol
+        achieved = exact_sinrs(powers, gains, noise_w)
+        # the spread bounds the gap to the optimum, however p was computed
+        assert max(achieved) / min(achieved) - 1 <= 2 * Fraction(TOL.sinr_match_rel)
+
+
+@pytest.mark.parametrize(
+    "noise_dbm, pmax_dbm, seed",
+    [
+        # failed the normwise residual test the componentwise certificate replaced
+        (-140.0, 23.0, 73),
+        # failed the forward-error bound of a minimum-power solve at the
+        # optimal SINR, a system that is singular in the high-SNR limit
+        (-150.0, 23.0, 73),
+        (-150.0, 23.0, 122),
+        (-150.0, 23.0, 196),
+        (-150.0, 23.0, 199),
+        (-160.0, 60.0, 1),
+        (-160.0, 60.0, 157),
+    ],
+)
+def test_high_snr_drop_completes_with_powers_in_the_box(noise_dbm, pmax_dbm, seed):
+    config = harness.SimConfig(noise_dbm=noise_dbm, pmax_dbm=pmax_dbm)
+    drop = harness.simulate_drop(config, seed, num_users=100, beta=0.6, mode="nocoop")
     schedule = drop.ndl_schedule
     assert schedule.num_served > 0
     ndl_config = config.ndl_config()
