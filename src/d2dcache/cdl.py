@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import TOL, PrecoderSingularError, ZfPrecoder
+from .numerics import PrecoderSingularError, ZfPrecoder
 from .topology import Topology, check_radio_values, dbm_to_watt
 
 LN2 = math.log(2.0)
@@ -153,11 +153,8 @@ def _dual_newton(a, wsq, budgets):
     ``SHRINK_TOL`` of 1 and the duality gap is at most ``GAP_TOL``, or a
     guard trips.  Returns ``(x, lam, newton_steps)``.
     """
-    num_rows, num_vars = wsq.shape
-    if num_vars == 0:
-        return np.zeros(0), np.zeros(num_rows), 0
     wsq = wsq / budgets[:, None]
-    ones = np.ones(num_rows)
+    ones = np.ones(wsq.shape[0])
     lam = _start_prices(a, wsq)
     value, level, price = _dual(a, wsq, ones, lam)
     steps = 0
@@ -220,14 +217,14 @@ def qos_floor_powers(
 
     Takes the :func:`effective_gains` and ``wsq = |w_bar|^2`` of the ZF
     precoder, whose floors decouple per CR: the floor powers are the
-    minimum-power point, and the QoS is feasible exactly when every CR has a
-    positive gain and they fit every CT budget within
-    ``TOL.power_feasibility_rel``.
+    minimum-power point.  A CR set is admitted only when every CR has a
+    positive gain and the floors leave every CT strictly below its budget,
+    so the sum-rate solve always has positive headroom on every CT.
     """
     if np.any(gains <= 0):
         return None
     p_min = sinr_targets * noise_w / gains
-    if np.any(wsq @ p_min > pmax_w * (1.0 + TOL.power_feasibility_rel)):
+    if not (wsq @ p_min < pmax_w).all():   # NaN fails the comparison too
         return None
     return p_min
 
@@ -269,28 +266,12 @@ def allocate_cdl_power(
     if p_min is None:
         return None
 
-    # Solve for the excess x = p - p_min in units of the largest budget.  A CT
-    # whose floors leave it no headroom (the pre-check admits a small
-    # overshoot) pins every stream it carries at the floor.
+    # Solve for the excess x = p - p_min in units of the largest budget; the
+    # pre-check leaves every CT positive headroom.
     scale = float(pmax_w.max())
     a = (noise_w / gains + p_min) / scale
-    headroom = (pmax_w - wsq @ p_min) / scale
-    spent = headroom <= 0
-    budgets = np.maximum(headroom, 0.0)
-    live = ~spent
-    free = ~(wsq[spent] > 0).any(axis=0)
-    x = np.zeros(num_rx)
-    lam = np.zeros(num_tx)
-    x[free], lam[live], steps = _dual_newton(a[free], wsq[live][:, free], budgets[live])
-    if spent.any():
-        # Spent CTs price each pinned stream up to its marginal rate at x = 0.
-        pinned = ~free
-        shortfall = 1.0 / (LN2 * a[pinned]) - wsq[live][:, pinned].T @ lam[live]
-        carried = wsq[spent][:, pinned]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam[spent] = np.max(
-                np.where(carried > 0, shortfall / carried, 0.0), axis=1, initial=0.0
-            )
+    budgets = (pmax_w - wsq @ p_min) / scale
+    x, lam, steps = _dual_newton(a, wsq, budgets)
     converged = _duality_gap(a, wsq, budgets, x, lam) <= GAP_TOL
 
     powers = p_min + scale * x

@@ -1,11 +1,12 @@
 """Shared numerical kernels: ZF precoding, Gram-Schmidt residuals, certified
 solves of Z-matrix systems (the link admission systems), maximum-weight
-bipartite matching and a projected dual-ascent helper."""
+bipartite matching on a dense weight block and a projected dual-ascent
+helper."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -143,47 +144,15 @@ def certify_solution(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     return bound
 
 
-@dataclass
-class BipartiteGraph:
-    """Simple weighted bipartite graph with 0-based vertex indices per side."""
-
-    num_left: int
-    num_right: int
-    edges: list = field(default_factory=list)  # (left, right, weight >= 0)
-
-    def weight_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense weight matrix and edge mask, num_left x num_right, with
-        non-edges at zero; raises ValueError on an out-of-range or duplicate
-        edge."""
-        shape = (self.num_left, self.num_right)
-        weights, is_edge = np.zeros(shape), np.zeros(shape, dtype=bool)
-        if not self.edges:
-            return weights, is_edge
-        left, right, weight = zip(*self.edges)
-        if (
-            min(left) < 0 or max(left) >= self.num_left
-            or min(right) < 0 or max(right) >= self.num_right
-        ):
-            raise ValueError("edge endpoint out of range")
-        index = (np.array(left), np.array(right))
-        weights[index] = weight
-        is_edge[index] = True
-        if np.count_nonzero(is_edge) < len(self.edges):
-            raise ValueError("duplicate edge")
-        return weights, is_edge
-
-
-def max_weight_matching(weights, is_edge=None) -> list[tuple[int, int]]:
+def max_weight_matching(weights, is_edge) -> list[tuple[int, int]]:
     """Vertex-disjoint edge set of maximum total weight, sorted by left vertex.
 
     ``weights`` is the dense num_left x num_right weight matrix, non-edges at
-    zero, and ``is_edge`` marks the real edges; a :class:`BipartiteGraph`
-    may be passed alone instead.  Solved as a rectangular assignment over
-    the dense matrix: with non-negative weights, optimal assignments
-    restricted to real edges are exactly the maximum-weight matchings.
+    zero, and ``is_edge`` marks the real edges.  Solved as a rectangular
+    assignment over the dense matrix: with non-negative weights, optimal
+    assignments restricted to real edges are exactly the maximum-weight
+    matchings.
     """
-    if isinstance(weights, BipartiteGraph):
-        weights, is_edge = weights.weight_matrix()
     if weights.shape != is_edge.shape:
         raise ValueError("weight matrix and edge mask differ in shape")
     edge_weights = weights[is_edge]

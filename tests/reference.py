@@ -1,4 +1,5 @@
-"""Reference implementations the tests compare the library against."""
+"""Reference implementations the tests compare the library against, and the
+shared helpers they are built from."""
 
 import numpy as np
 
@@ -20,3 +21,14 @@ def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
         return numerics.solve_linear(system, noise)
     except numerics.SingularSystemError:
         return None
+
+
+def edge_block(num_left, num_right, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Lay an edge list of (left, right, weight) triples into the dense weight
+    block and edge mask that :func:`numerics.max_weight_matching` takes."""
+    weights = np.zeros((num_left, num_right))
+    is_edge = np.zeros((num_left, num_right), dtype=bool)
+    for left, right, weight in edges:
+        weights[left, right] = weight
+        is_edge[left, right] = True
+    return weights, is_edge

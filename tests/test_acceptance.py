@@ -10,7 +10,7 @@ import pytest
 from d2dcache import cdl, ndl, numerics
 from d2dcache.cli import main
 from d2dcache.harness import SimConfig, run_cell
-from reference import min_power_vector
+from reference import edge_block, min_power_vector
 
 NOISE = 1e-12
 PMAX = 10.0 ** ((23.0 - 30.0) / 10.0)
@@ -143,14 +143,14 @@ def test_criterion_3_link_check_exactness():
     )
 
 
-def matching_weight(graph: numerics.BipartiteGraph, pairs) -> float:
-    lookup = {(left, right): weight for left, right, weight in graph.edges}
+def matching_weight(edges, pairs) -> float:
+    lookup = {(left, right): weight for left, right, weight in edges}
     return float(sum(lookup[pair] for pair in pairs))
 
 
-def brute_force_matching_weight(graph: numerics.BipartiteGraph) -> float:
+def brute_force_matching_weight(edges) -> float:
     adjacency = {}
-    for left, right, weight in graph.edges:
+    for left, right, weight in edges:
         adjacency.setdefault(left, []).append((right, weight))
     lefts = sorted(adjacency)
 
@@ -178,9 +178,8 @@ def test_criterion_4_matching_oracle():
             for j in range(nr):
                 if rng.random() < 0.5:
                     edges.append((i, j, float(rng.integers(0, 1000))))
-        graph = numerics.BipartiteGraph(nl, nr, edges)
-        pairs = numerics.max_weight_matching(graph)
-        exact &= matching_weight(graph, pairs) == brute_force_matching_weight(graph)
+        pairs = numerics.max_weight_matching(*edge_block(nl, nr, edges))
+        exact &= matching_weight(edges, pairs) == brute_force_matching_weight(edges)
     elapsed = time.perf_counter() - start
     report(
         4,

@@ -196,21 +196,35 @@ def test_allocation_feasibility_and_multiplier_invariants():
     assert floors_bound > 0 and budgets_slack > 0
 
 
-def test_floor_that_spends_a_budget_pins_its_streams():
-    # CR 0 alone on CT 0, with a floor just past its budget (the pre-check
-    # admits that much overshoot); CR 1 alone on CT 1 with a low floor.
+def test_floors_must_leave_every_budget_headroom():
+    """CR 0 alone on CT 0 and CR 1 alone on CT 1.  A floor that uses up CT 0's
+    budget, exactly or just past it, is refused by the pre-check and by the
+    solve; floors just under it leave a tiny budget that still certifies."""
     amp = 1e-4
     h = np.diag([amp, amp]).astype(complex)
     prec = numerics.zf_precoder(h)
-    floor = PMAX * (1.0 + 0.5 * TOL.power_feasibility_rel)
-    gammas = np.array([floor * amp**2 / NOISE, 1.0])
-    res = allocate_cdl_power(
-        h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gammas
-    )
-    assert res is not None and res.converged
-    assert res.powers_w[0] == pytest.approx(floor, rel=1e-12)
-    assert res.powers_w[1] == pytest.approx(PMAX, rel=1e-9)
-    assert np.all(res.lambda_tx > 0.0) and np.all(res.mu_rx >= 0.0)
+    wsq = np.abs(prec.normalized) ** 2
+    gains = effective_gains(h, prec.normalized)
+    gammas = np.array([PMAX * amp**2 / NOISE, 1.0])
+    floor = (wsq @ (gammas * NOISE / gains))[0]
+    past = 1.0 + 0.5 * TOL.power_feasibility_rel
+    for share in (1.0, past, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15):
+        pmax = np.array([floor / share, PMAX])
+        kwargs = dict(pmax_w=pmax, noise_w=NOISE, sinr_targets=gammas)
+        p_min = cdl.qos_floor_powers(gains, wsq, **kwargs)
+        res = allocate_cdl_power(h, prec.normalized, **kwargs)
+        if share >= 1.0:
+            assert p_min is None and res is None
+            continue
+        assert p_min is not None and res is not None and res.converged
+        assert res.powers_w[0] == pytest.approx(floor, rel=1e-8)
+        assert res.powers_w[1] == pytest.approx(PMAX, rel=1e-9)
+        assert np.all(res.lambda_tx > 0.0) and np.all(res.mu_rx >= 0.0)
+    # a NaN load is refused, not taken for headroom
+    nan_wsq = np.where(np.eye(2, dtype=bool), np.nan, wsq)
+    assert cdl.qos_floor_powers(
+        gains, nan_wsq, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gammas
+    ) is None
 
 
 def interior_point(a, wsq, budgets):
@@ -220,8 +234,6 @@ def interior_point(a, wsq, budgets):
     Returns ``(x, lam, newton_steps)``."""
     ln2 = np.log(2.0)
     num_rows, num_vars = wsq.shape
-    if num_vars == 0:
-        return np.zeros(0), np.zeros(num_rows), 0
     with np.errstate(divide="ignore"):
         x = np.full(num_vars, 0.5 * np.min(budgets / wsq.sum(axis=1)))
     lam = 1.0 / (budgets - wsq @ x)
@@ -272,7 +284,8 @@ def sum_rate(powers, gains):
 
 def test_dual_newton_matches_interior_point(monkeypatch):
     """The dual Newton solve and the interior-point reference, run through
-    the same wrapper (floors, pinning, certificate), reach the same optimum."""
+    the same wrapper (floors, certificate), reach the same optimum.  A CT
+    whose floors use up its budget makes the QoS infeasible on both sides."""
     rng = np.random.default_rng(11)
     solved = tall = spent = 0
     for trial in range(3000):
@@ -295,6 +308,10 @@ def test_dual_newton_matches_interior_point(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(cdl, "_dual_newton", interior_point)
             ref = allocate_cdl_power(h, prec.normalized, **kwargs)
+        if spends:
+            assert res is None and ref is None
+            spent += 1
+            continue
         assert (res is None) == (ref is None)
         if res is None:
             continue
@@ -304,7 +321,6 @@ def test_dual_newton_matches_interior_point(monkeypatch):
         assert theirs >= ours - GAP_TOL
         solved += 1
         tall += m > n
-        spent += spends
     assert solved >= 2000 and tall >= 1000 and spent >= 100
 
 

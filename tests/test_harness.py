@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -348,6 +349,14 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps(config.to_dict()))
     loaded = SimConfig.from_json_file(path)
     assert dataclasses.asdict(loaded) == dataclasses.asdict(config)
+
+
+def test_readme_config_block_matches_defaults():
+    """The README's documented config is SimConfig's defaults, key for key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.DOTALL).group(1)
+    documented = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert documented == SimConfig().to_dict()
 
 
 def test_config_rejects_unknown_keys():

@@ -27,7 +27,7 @@ from d2dcache.ndl import (
 from d2dcache.numerics import TOL
 from d2dcache.topology import SimGeometry, Topology, build_topology
 from d2dcache.content import build_content_state, Catalog
-from reference import min_power_vector
+from reference import edge_block, min_power_vector
 
 NOISE = 1e-12
 PMAX = 0.2
@@ -474,8 +474,9 @@ def dict_links(suppliers, topology, weight_mode="reciprocal"):
             (left_index[k], right_index[j], weight)
             for (k, j), weight in zip(contested, weights.tolist())
         ]
-        graph = numerics.BipartiteGraph(len(left_ids), len(right_ids), graph_edges)
-        pairs = numerics.max_weight_matching(graph)
+        pairs = numerics.max_weight_matching(
+            *edge_block(len(left_ids), len(right_ids), graph_edges)
+        )
         matched = [(left_ids[i], right_ids[j]) for i, j in pairs]
     return sorted(direct + matched, key=lambda link: link[1])
 
