@@ -290,6 +290,7 @@ def simulate_drop(
 
     Deterministic in (config, seed); coop and nocoop runs with the same seed
     share the topology and content realization and differ only in scheduling.
+    The cell's geometry, catalog and link configs are validated first.
     """
     mode = config.mode if mode is None else mode
     if mode not in MODES:
@@ -298,6 +299,8 @@ def simulate_drop(
     geometry.validate()
     catalog = config.catalog(beta)
     catalog.validate()
+    config.cdl_config().validate()
+    config.ndl_config().validate()
 
     rng = np.random.default_rng(seed)
     topology = build_topology(geometry, rng)
@@ -340,6 +343,8 @@ def run_cell(
     drop's ``ArithmeticError`` is raised again, same type, naming seed and cell.
     """
     drops = config.drops if drops is None else drops
+    if drops < 1:
+        raise ValueError("drops must be >= 1")
     cell = dict(num_users=num_users, beta=beta, mode=mode)
     metrics = []
     for seed in range(config.base_seed, config.base_seed + drops):

@@ -159,35 +159,26 @@ def select_links(
 ) -> list[tuple[int, int]]:
     """One-to-one (transmitter, receiver) pairing, sorted by receiver id.
 
-    Isolated supplier/requester pairs (both endpoints of degree one) are kept
-    outright; the contested remainder is resolved by maximum-weight matching
-    with the configured edge weight.
+    One maximum-weight matching, with the configured edge weight, over the
+    block of every supplier row and requester column of the mask.  An
+    isolated supplier/requester pair needs no case of its own: an edge of
+    positive weight that shares no endpoint is in every maximum-weight
+    matching.
     """
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-    num_users = supplies.shape[0]
-    # the edge list in row-major order; far cheaper than np.nonzero on 2-D
-    txs, rxs = np.divmod(np.flatnonzero(supplies), num_users)
-    tx_degree = np.bincount(txs, minlength=num_users)
-    rx_degree = np.bincount(rxs, minlength=num_users)
-    contested = (tx_degree[txs] > 1) | (rx_degree[rxs] > 1)
-    if contested.any():
-        left = np.flatnonzero(np.bincount(txs[contested], minlength=num_users))
-        right = np.flatnonzero(np.bincount(rxs[contested], minlength=num_users))
-        # a supplier or requester of a contested edge has no direct one, so
-        # every edge inside the block is contested
-        block = _block(supplies, left, right)
-        gains = _block(topology.power_gains, left, right)
-        weights = np.zeros(block.shape)
-        if weight_mode == "reciprocal":
-            np.divide(1.0, gains, out=weights, where=block)
-        else:
-            np.copyto(weights, gains, where=block)
-        pairs = numerics.max_weight_matching(weights, block)
-        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
-        direct = ~contested
-        txs = np.concatenate([txs[direct], left[pairs[:, 0]]])
-        rxs = np.concatenate([rxs[direct], right[pairs[:, 1]]])
+    left = np.flatnonzero(supplies.any(axis=1))
+    right = np.flatnonzero(supplies.any(axis=0))
+    block = _block(supplies, left, right)
+    gains = _block(topology.power_gains, left, right)
+    weights = np.zeros(block.shape)
+    if weight_mode == "reciprocal":
+        np.divide(1.0, gains, out=weights, where=block)
+    else:
+        np.copyto(weights, gains, where=block)
+    pairs = numerics.max_weight_matching(weights, block)
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    txs, rxs = left[pairs[:, 0]], right[pairs[:, 1]]
     order = np.argsort(rxs)
     return list(zip(txs[order].tolist(), rxs[order].tolist()))
 
@@ -418,18 +409,6 @@ class NdlSchedule:
     rates_bps: np.ndarray
     removal_iterations: int = 0
 
-    @classmethod
-    def empty(cls, removal_iterations: int = 0) -> "NdlSchedule":
-        return cls(
-            links=[],
-            gain_matrix=np.zeros((0, 0)),
-            sinr_targets=np.zeros(0),
-            min_powers_w=np.zeros(0),
-            powers_w=np.zeros(0),
-            rates_bps=np.zeros(0),
-            removal_iterations=removal_iterations,
-        )
-
     @property
     def transmitters(self) -> list[int]:
         return [tx for tx, _ in self.links]
@@ -458,21 +437,13 @@ def schedule_ndl(
     max-min power allocation for the non-cooperative groups.  ``in_range``
     is the drop's :func:`cachers_in_range` mask."""
     supplies = build_candidates(content, in_range, excluded)
-    if not supplies.any():
-        return NdlSchedule.empty()
     resolved = nt_nr_decision(supplies, topology, config.noise_w, config.sinr_target)
     links = select_links(resolved, topology, config.weight_mode)
-    if not links:
-        return NdlSchedule.empty()
-
     gains = link_gain_matrix(links, topology)
     targets = np.full(len(links), config.sinr_target)
     removal = check_and_remove(
         links, gains, config.noise_w, targets, config.pmax_w
     )
-    if not removal.kept:
-        return NdlSchedule.empty(removal.iterations)
-
     power = dc_power_allocation(
         removal.gain_matrix, config.noise_w, config.pmax_w, removal.sinr_targets
     )

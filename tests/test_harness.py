@@ -214,6 +214,19 @@ def test_single_drop_cell_equals_drop_metrics():
         assert row[f"stderr_{name}"] == 0.0
 
 
+@pytest.mark.parametrize("drops", [0, -3])
+def test_run_cell_rejects_fewer_than_one_drop(drops):
+    config = small_config()
+    with pytest.raises(ValueError, match="drops must be >= 1"):
+        run_cell(
+            config,
+            num_users=config.num_users,
+            beta=config.zipf_beta,
+            mode="coop",
+            drops=drops,
+        )
+
+
 def test_stderr_shrinks_like_inverse_sqrt_two():
     rng = np.random.default_rng(0)
     base = [DropMetrics(throughput_bps=float(v)) for v in rng.normal(10.0, 2.0, 400)]
@@ -400,3 +413,21 @@ def test_config_rejects_out_of_range_radio_values(extra, field):
     for link_config in (config.cdl_config(), config.ndl_config()):
         with pytest.raises(ValueError, match=field):
             link_config.validate()
+
+
+# link settings that SimConfig.validate refuses; a library caller of
+# simulate_drop may never call it, so the drop checks the link configs itself
+BAD_LINK_SETTINGS = [
+    {"noise_dbm": float("-inf")},
+    {"cdl_bandwidth_hz": -1.0},
+    {"ndl_bandwidth_hz": 0.0},
+    {"sus_epsilon": 1.5},
+    {"pmax_dbm": 1e6},
+]
+
+
+@pytest.mark.parametrize("mode", harness.MODES)
+@pytest.mark.parametrize("extra", BAD_LINK_SETTINGS)
+def test_simulate_drop_rejects_bad_link_configs(extra, mode):
+    with pytest.raises(ValueError):
+        simulate_drop(SimConfig(num_users=30, **extra), 3, mode=mode)

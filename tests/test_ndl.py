@@ -359,6 +359,51 @@ def test_matching_respects_one_to_one():
             assert resolved[tx, rx]
 
 
+def brute_force_links(supplies, topology, weight_mode):
+    """Maximum-weight one-to-one link set by exhaustive search over the
+    requesters in id order, so the links come out sorted by receiver."""
+    gains = topology.power_gains
+    receivers = np.flatnonzero(supplies.any(axis=0)).tolist()
+
+    def best(idx, used):
+        if idx == len(receivers):
+            return 0.0, []
+        rx = receivers[idx]
+        total, links = best(idx + 1, used)  # leave this requester unserved
+        for tx in np.flatnonzero(supplies[:, rx]).tolist():
+            if tx not in used:
+                gain = gains[tx, rx]
+                weight = 1.0 / gain if weight_mode == "reciprocal" else gain
+                rest_total, rest = best(idx + 1, used | {tx})
+                if weight + rest_total > total:
+                    total, links = weight + rest_total, [(tx, rx)] + rest
+        return total, links
+
+    return best(0, frozenset())[1]
+
+
+def test_select_links_matches_brute_force_matching():
+    rng = np.random.default_rng(2024)
+    isolated_pairs = shared_suppliers = 0
+    for _ in range(300):
+        k = int(rng.integers(2, 9))
+        # disjoint roles, as role resolution leaves them
+        supplier = rng.random(k) < 0.5
+        density = rng.uniform(0.15, 0.6)
+        supplies = supplier[:, None] & ~supplier[None, :] & (rng.random((k, k)) < density)
+        topo = topology_with_gains(10.0 ** rng.uniform(-12.0, -6.0, (k, k)))
+        tx_degree, rx_degree = supplies.sum(axis=1), supplies.sum(axis=0)
+        isolated = supplies & (tx_degree == 1)[:, None] & (rx_degree == 1)[None, :]
+        isolated_pairs += int(isolated.sum())
+        shared_suppliers += int((tx_degree > 1).sum())
+        for mode in WEIGHT_MODES:
+            links = select_links(supplies, topo, mode)
+            assert links == brute_force_links(supplies, topo, mode)
+            for tx, rx in zip(*np.nonzero(isolated)):
+                assert (int(tx), int(rx)) in links
+    assert isolated_pairs > 100 and shared_suppliers > 100
+
+
 # --- reference: the dict-based front end the supply mask replaced ---------------------
 
 
@@ -1124,6 +1169,72 @@ def test_schedule_ndl_invariants_on_random_drops():
             assert np.all(schedule.powers_w <= config.pmax_w * (1 + 1e-9))
             at_min = sinrs(schedule.min_powers_w, schedule.gain_matrix, config.noise_w)
             assert np.max(np.abs(at_min / schedule.sinr_targets - 1.0)) < 1e-6
+
+
+def mutual_pair():
+    """Two users in range, each caching the group the other requests: both
+    are ambiguous, their role costs tie at 0 and both resolve to receivers."""
+    positions = np.array([[0.0, 0.0], [10.0, 0.0]])
+    return topology_with(np.full((2, 2), 1e-5 + 0j), positions), content_from(
+        [0, 1], [1, 0], 2
+    )
+
+
+def two_pairs():
+    """Two disjoint supplier/requester pairs with weak cross gains."""
+    gains = np.full((4, 4), 1e-16)
+    gains[0, 1] = gains[2, 3] = 1e-10
+    positions = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
+    return topology_with_gains(gains, positions), content_from(
+        [0, -1, 1, -1], [-1, 0, -1, 1], 2
+    )
+
+
+def no_candidate():
+    """Every user caches the group it requests."""
+    topo, _ = mutual_pair()
+    return topo, content_from([0, 1], [0, 1], 2)
+
+
+# (drop, config, links selected): no candidate, no link left after role
+# resolution, and every link removed by admission at a tiny peak power
+EMPTY_SCHEDULES = (
+    (no_candidate, NdlConfig(), 0),
+    (mutual_pair, NdlConfig(), 0),
+    (two_pairs, NdlConfig(pmax_dbm=-30.0), 2),
+)
+
+
+@pytest.mark.parametrize("drop, config, selected", EMPTY_SCHEDULES)
+def test_schedule_ndl_with_no_link_is_empty(monkeypatch, drop, config, selected):
+    topo, content = drop()
+    in_range = cachers_in_range(content, topo.distances, config.radius_m)
+    supplies = build_candidates(content, in_range)
+    resolved = nt_nr_decision(supplies, topo, config.noise_w, config.sinr_target)
+    assert len(select_links(resolved, topo)) == selected
+    assert supplies.any() == (drop is not no_candidate)
+
+    remove = ndl.check_and_remove
+    outcomes = []
+
+    def recording(*args):
+        outcomes.append(remove(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(ndl, "check_and_remove", recording)
+    schedule = schedule_ndl(topo, content, config, in_range)
+    assert schedule.links == [] and schedule.num_served == 0
+    assert schedule.sum_rate_bps == 0.0
+    assert schedule.removal_iterations == outcomes[0].iterations == selected
+    vectors = (
+        schedule.sinr_targets,
+        schedule.min_powers_w,
+        schedule.powers_w,
+        schedule.rates_bps,
+    )
+    assert schedule.gain_matrix.shape == (0, 0)
+    assert all(values.shape == (0,) for values in vectors)
+    assert all(values.dtype == float for values in (schedule.gain_matrix, *vectors))
 
 
 def test_pipeline_ndl_power_is_certified(monkeypatch):
