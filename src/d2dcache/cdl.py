@@ -10,38 +10,20 @@ import numpy as np
 
 from . import numerics
 from .numerics import PrecoderSingularError, ZfPrecoder
-from .topology import Topology, check_radio_values, dbm_to_watt
+from .topology import FieldError, LinkConfig, Topology
 
 LN2 = math.log(2.0)
 
 
-@dataclass
-class CdlConfig:
-    bandwidth_hz: float = 10e6
+@dataclass(frozen=True, kw_only=True)
+class CdlConfig(LinkConfig):
     epsilon: float = 0.75               # semi-orthogonality admission threshold
-    rmin_bps_per_hz: float = 3.0        # QoS floor as spectral efficiency
-    pmax_dbm: float = 23.0              # per-transmitter peak power
-    noise_dbm: float = -90.0
     allow_full_rank: bool = True        # admit as many CRs as CTs, not CTs-1
 
-    @property
-    def pmax_w(self) -> float:
-        return dbm_to_watt(self.pmax_dbm)
-
-    @property
-    def noise_w(self) -> float:
-        return dbm_to_watt(self.noise_dbm)
-
-    @property
-    def sinr_target(self) -> float:
-        return 2.0 ** self.rmin_bps_per_hz - 1.0
-
-    def validate(self) -> None:
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        check_radio_values(self)
+            raise FieldError("epsilon", self.epsilon, "must lie in (0, 1)")
 
 
 def effective_gains(channel_matrix: np.ndarray, w_bar: np.ndarray) -> np.ndarray:
@@ -334,8 +316,6 @@ def schedule_cdl(
     tx = np.asarray(sorted(transmitters), dtype=int)
     pool = np.asarray(sorted(int(c) for c in candidates), dtype=int)
     limit = tx.size if config.allow_full_rank else tx.size - 1
-    if tx.size == 0 or limit <= 0 or not pool.size:
-        return CdlSchedule.empty(tx)
 
     channels = topology.channels.take(tx, axis=0)   # CT rows, every user
     selected: list[int] = []

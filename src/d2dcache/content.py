@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class Catalog:
-    """File library layout and request skewness.
+    """File library layout and request skewness, checked when built.
 
     The most popular ``num_popular`` files are split into groups of
     ``cache_size`` consecutive files; every user caches exactly one group.
@@ -22,21 +22,17 @@ class Catalog:
     num_popular: int = 100
     zipf_beta: float = 0.8
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.cache_size <= self.num_popular <= self.num_files:
+            raise ValueError("need 1 <= cache_size <= num_popular <= num_files")
+        if self.num_popular % self.cache_size:
+            raise ValueError("num_popular must be divisible by cache_size")
+        if not 0.0 <= self.zipf_beta < np.inf:
+            raise ValueError(f"zipf_beta = {self.zipf_beta!r} must be finite and >= 0")
+
     @property
     def num_groups(self) -> int:
         return self.num_popular // self.cache_size
-
-    def validate(self) -> None:
-        if self.num_files < 1 or self.cache_size < 1:
-            raise ValueError("num_files and cache_size must be >= 1")
-        if self.num_popular > self.num_files:
-            raise ValueError("num_popular cannot exceed num_files")
-        if self.num_popular % self.cache_size != 0:
-            raise ValueError("num_popular must be divisible by cache_size")
-        if self.num_popular < self.cache_size:
-            raise ValueError("need at least one file group")
-        if self.zipf_beta < 0:
-            raise ValueError("zipf_beta must be >= 0")
 
 
 def file_request_probs(catalog: Catalog) -> np.ndarray:

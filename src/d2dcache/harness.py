@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 from .cdl import CdlConfig, CdlSchedule, schedule_cdl
 from .content import Catalog, ContentState, build_content_state
 from .ndl import NdlConfig, NdlSchedule, cachers_in_range, schedule_ndl
-from .topology import SimGeometry, Topology, build_topology
+from .topology import FieldError, SimGeometry, Topology, build_topology
 
 MODES = ("coop", "nocoop")
 
@@ -39,10 +40,8 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    # json.load accepts NaN and Infinity, so floats must also be finite
-    return _is_integer(value) or (
-        isinstance(value, (float, np.floating)) and np.isfinite(value)
-    )
+    # json.load also gives NaN and Infinity: the sub-configs refuse them
+    return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass
@@ -85,7 +84,7 @@ class SimConfig:
             if f.type == "int" and not _is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not _is_real(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if f.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{f.name} must be true or false, got {value!r}")
         if not isinstance(self.user_counts, list) or not all(
@@ -109,11 +108,13 @@ class SimConfig:
             raise ValueError("betas and user_counts must be non-empty")
         # every sweep cell is checked before the first one runs
         for num_users in (self.num_users, *self.user_counts):
-            self.geometry(num_users).validate()
+            self.geometry(num_users)
         for beta in (self.zipf_beta, *self.betas):
-            self.catalog(beta).validate()
-        self.cdl_config().validate()
-        self.ndl_config().validate()
+            self.catalog(beta)
+        self.cdl_config()
+        self.ndl_config()
+        # the nocoop baseline gives its NDLs both bands
+        self.ndl_config(self.cdl_bandwidth_hz + self.ndl_bandwidth_hz)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -151,24 +152,38 @@ class SimConfig:
         )
 
     def cdl_config(self) -> CdlConfig:
-        return CdlConfig(
-            bandwidth_hz=self.cdl_bandwidth_hz,
-            epsilon=self.sus_epsilon,
-            rmin_bps_per_hz=self.rmin_bps_per_hz,
-            pmax_dbm=self.pmax_dbm,
-            noise_dbm=self.noise_dbm,
-            allow_full_rank=self.allow_full_rank,
-        )
+        with _under_keys(bandwidth_hz="cdl_bandwidth_hz", epsilon="sus_epsilon"):
+            return CdlConfig(
+                bandwidth_hz=self.cdl_bandwidth_hz,
+                epsilon=self.sus_epsilon,
+                rmin_bps_per_hz=self.rmin_bps_per_hz,
+                pmax_dbm=self.pmax_dbm,
+                noise_dbm=self.noise_dbm,
+                allow_full_rank=self.allow_full_rank,
+            )
 
     def ndl_config(self, bandwidth_hz: float | None = None) -> NdlConfig:
-        return NdlConfig(
-            bandwidth_hz=self.ndl_bandwidth_hz if bandwidth_hz is None else bandwidth_hz,
-            radius_m=self.d2d_radius_m,
-            rmin_bps_per_hz=self.rmin_bps_per_hz,
-            pmax_dbm=self.pmax_dbm,
-            noise_dbm=self.noise_dbm,
-            weight_mode=self.weight_mode,
-        )
+        band_key = "ndl_bandwidth_hz" if bandwidth_hz is None else "bandwidth_hz"
+        with _under_keys(bandwidth_hz=band_key, radius_m="d2d_radius_m"):
+            return NdlConfig(
+                bandwidth_hz=self.ndl_bandwidth_hz if bandwidth_hz is None else bandwidth_hz,
+                radius_m=self.d2d_radius_m,
+                rmin_bps_per_hz=self.rmin_bps_per_hz,
+                pmax_dbm=self.pmax_dbm,
+                noise_dbm=self.noise_dbm,
+                weight_mode=self.weight_mode,
+            )
+
+
+@contextmanager
+def _under_keys(**keys):
+    """Raise a sub-config's FieldError again under the key ``keys`` gives it."""
+    try:
+        yield
+    except FieldError as exc:
+        if exc.name not in keys:
+            raise
+        raise FieldError(keys[exc.name], exc.value, exc.rule) from None
 
 
 @dataclass
@@ -231,25 +246,29 @@ def run_pipeline(
     config: SimConfig,
     mode: str,
 ) -> DropResult:
-    """Schedule CDLs then NDLs on a fixed (topology, content) realization."""
+    """Schedule CDLs then NDLs on a fixed (topology, content) realization.
+
+    Both link configs are built from ``config``, and so checked, in either mode.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    cdl_config = config.cdl_config()
+    ndl_config = config.ndl_config()
     if mode == "coop":
         # band split is preset and fixed, even on drops with no coop group
-        ndl_bandwidth = config.ndl_bandwidth_hz
         group = content.coop_group
         if group is not None:
             cdl_schedule = schedule_cdl(
                 np.flatnonzero(content.cached_group == group),
                 np.flatnonzero(content.unserved & (content.requested_group == group)),
                 topology,
-                config.cdl_config(),
+                cdl_config,
             )
         else:
             cdl_schedule = CdlSchedule.empty()
     else:
         cdl_schedule = CdlSchedule.empty()
-        ndl_bandwidth = config.cdl_bandwidth_hz + config.ndl_bandwidth_hz
+        ndl_config = config.ndl_config(config.cdl_bandwidth_hz + config.ndl_bandwidth_hz)
 
     # Users carrying an established CDL are busy; an empty CDL frees everyone.
     excluded: set[int] = set()
@@ -257,10 +276,8 @@ def run_pipeline(
         excluded = set(cdl_schedule.transmitters.tolist())
         excluded.update(cdl_schedule.receivers.tolist())
 
-    in_range = cachers_in_range(content, topology.distances, config.d2d_radius_m)
-    ndl_schedule = schedule_ndl(
-        topology, content, config.ndl_config(ndl_bandwidth), in_range, excluded
-    )
+    in_range = cachers_in_range(content, topology.distances, ndl_config.radius_m)
+    ndl_schedule = schedule_ndl(topology, content, ndl_config, in_range, excluded)
 
     classes = classify_users(content, in_range)
     cdl_rate = cdl_schedule.sum_rate_bps
@@ -290,18 +307,12 @@ def simulate_drop(
 
     Deterministic in (config, seed); coop and nocoop runs with the same seed
     share the topology and content realization and differ only in scheduling.
-    The cell's geometry, catalog and link configs are validated first.
+    The cell's geometry and catalog check themselves when built, and
+    :func:`run_pipeline` builds the link configs and checks the mode.
     """
     mode = config.mode if mode is None else mode
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     geometry = config.geometry(num_users)
-    geometry.validate()
     catalog = config.catalog(beta)
-    catalog.validate()
-    config.cdl_config().validate()
-    config.ndl_config().validate()
-
     rng = np.random.default_rng(seed)
     topology = build_topology(geometry, rng)
     content = build_content_state(

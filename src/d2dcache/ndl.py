@@ -13,39 +13,21 @@ import numpy as np
 from . import numerics
 from .numerics import TOL, SingularSystemError
 from .content import ContentState
-from .topology import Topology, check_radio_values, dbm_to_watt
+from .topology import LinkConfig, Topology, require_finite_positive
 
 WEIGHT_MODES = ("reciprocal", "gain")
 
 
-@dataclass
-class NdlConfig:
-    bandwidth_hz: float = 10e6
+@dataclass(frozen=True, kw_only=True)
+class NdlConfig(LinkConfig):
     radius_m: float = 30.0
-    rmin_bps_per_hz: float = 3.0
-    pmax_dbm: float = 23.0
-    noise_dbm: float = -90.0
     weight_mode: str = "reciprocal"   # matching edge weight: 1/gain or gain
 
-    @property
-    def pmax_w(self) -> float:
-        return dbm_to_watt(self.pmax_dbm)
-
-    @property
-    def noise_w(self) -> float:
-        return dbm_to_watt(self.noise_dbm)
-
-    @property
-    def sinr_target(self) -> float:
-        return 2.0 ** self.rmin_bps_per_hz - 1.0
-
-    def validate(self) -> None:
-        if self.bandwidth_hz <= 0 or self.radius_m <= 0:
-            raise ValueError("bandwidth_hz and radius_m must be positive")
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        require_finite_positive("radius_m", self.radius_m)
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-        # a zero SINR target would zero the admission matrix diagonal
-        check_radio_values(self)
 
 
 def _block(matrix: np.ndarray, rows, cols) -> np.ndarray:

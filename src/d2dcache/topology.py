@@ -23,43 +23,72 @@ def dbm_to_watt(power_dbm: float) -> float:
     return 10.0 ** ((power_dbm - 30.0) / 10.0)
 
 
-def check_radio_values(config) -> None:
-    """Raise ValueError unless a link config's linear peak power, noise power
-    and SINR target are finite and > 0.  A conversion that overflows counts
-    as infinite; one that underflows gives 0."""
-    for name, source in (
-        ("pmax_w", "pmax_dbm"),
-        ("noise_w", "noise_dbm"),
-        ("sinr_target", "rmin_bps_per_hz"),
-    ):
-        try:
-            value = getattr(config, name)
-        except OverflowError:
-            value = math.inf
-        if not 0.0 < value < math.inf:
-            raise ValueError(
-                f"{name} = {value!r} from {source} = {getattr(config, source)!r}"
-                " must be finite and > 0"
-            )
+class FieldError(ValueError):
+    """A config refused one of its values.  ``name`` names the value and
+    ``rule`` says what it broke, so a caller that knows the value by another
+    name can raise the error again under that name."""
+
+    def __init__(self, name: str, value, rule: str):
+        super().__init__(f"{name} = {value!r} {rule}")
+        self.name, self.value, self.rule = name, value, rule
 
 
-@dataclass
+def require_finite_positive(name: str, value) -> None:
+    # written so that NaN fails the test too
+    if not 0.0 < value < math.inf:
+        raise FieldError(name, value, "must be finite and > 0")
+
+
+@dataclass(frozen=True)
 class SimGeometry:
-    """Square hotspot layout parameters."""
+    """Square hotspot layout parameters, checked when built."""
 
     side_m: float = 100.0
     num_users: int = 30
     d2d_radius_m: float = 30.0
 
-    def validate(self) -> None:
-        if self.side_m <= 0:
-            raise ValueError(f"side_m must be positive, got {self.side_m}")
-        if self.num_users < 2:
-            raise ValueError(f"num_users must be >= 2, got {self.num_users}")
+    def __post_init__(self) -> None:
+        require_finite_positive("side_m", self.side_m)
+        if not self.num_users >= 2:
+            raise FieldError("num_users", self.num_users, "must be >= 2")
         if not 0.0 < self.d2d_radius_m <= self.side_m * math.sqrt(2.0):
-            raise ValueError(
-                f"d2d_radius_m must lie in (0, side*sqrt(2)], got {self.d2d_radius_m}"
+            raise FieldError(
+                "d2d_radius_m", self.d2d_radius_m, "must lie in (0, side_m*sqrt(2)]"
             )
+
+
+@dataclass(frozen=True, kw_only=True)
+class LinkConfig:
+    """Radio settings both link types share, with the linear values the
+    schedulers read.  Checked when built: the band and each linear value must
+    be finite and > 0 (a conversion that overflows counts as infinite, one
+    that underflows gives 0)."""
+
+    bandwidth_hz: float = 10e6
+    rmin_bps_per_hz: float = 3.0        # QoS floor as spectral efficiency
+    pmax_dbm: float = 23.0              # per-transmitter peak power
+    noise_dbm: float = -90.0
+    pmax_w: float = field(init=False, repr=False)
+    noise_w: float = field(init=False, repr=False)
+    sinr_target: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        require_finite_positive("bandwidth_hz", self.bandwidth_hz)
+        for name, source, to_linear in (
+            ("pmax_w", "pmax_dbm", dbm_to_watt),
+            ("noise_w", "noise_dbm", dbm_to_watt),
+            ("sinr_target", "rmin_bps_per_hz", lambda rate: 2.0 ** rate - 1.0),
+        ):
+            setting = getattr(self, source)
+            try:
+                value = to_linear(setting)
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise FieldError(
+                    name, value, f"from {source} = {setting!r} must be finite and > 0"
+                )
+            object.__setattr__(self, name, value)
 
 
 @dataclass

@@ -143,6 +143,10 @@ def test_wrongly_typed_config_value_fails(tmp_path, capsys, extra):
         ({"rmin_bps_per_hz": 1e-17}, "sinr_target"),
         ({"pmax_dbm": 4000.0}, "pmax_w"),
         ({"noise_dbm": 4000.0}, "noise_w"),
+        # sub-config fields under another name: the message names the key
+        ({"ndl_bandwidth_hz": 0}, "ndl_bandwidth_hz"),
+        ({"cdl_bandwidth_hz": -1}, "cdl_bandwidth_hz"),
+        ({"sus_epsilon": 1.5}, "sus_epsilon"),
     ],
 )
 def test_out_of_range_radio_value_fails_naming_the_field(tmp_path, capsys, extra, field):

@@ -399,10 +399,14 @@ def test_derived_views_match_list_references():
 
 
 def test_catalog_validation():
-    DEFAULT.validate()
+    Catalog(num_files=10, cache_size=10, num_popular=10)
     with pytest.raises(ValueError):
-        Catalog(num_popular=300).validate()
+        Catalog(num_popular=300)
     with pytest.raises(ValueError):
-        Catalog(num_popular=95).validate()
+        Catalog(num_popular=95)
     with pytest.raises(ValueError):
-        Catalog(zipf_beta=-0.1).validate()
+        Catalog(num_popular=5)
+    with pytest.raises(ValueError):
+        Catalog(cache_size=0)
+    with pytest.raises(ValueError, match="zipf_beta"):
+        Catalog(zipf_beta=-0.1)

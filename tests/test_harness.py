@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from d2dcache import harness
-from d2dcache.content import ContentState
+from d2dcache.cdl import CdlConfig
+from d2dcache.content import Catalog, ContentState
 from d2dcache.harness import (
     CSV_COLUMNS,
     DropMetrics,
@@ -22,8 +24,8 @@ from d2dcache.harness import (
     simulate_drop,
     write_results,
 )
-from d2dcache.ndl import build_candidates, cachers_in_range, sinrs
-from d2dcache.topology import Topology
+from d2dcache.ndl import NdlConfig, build_candidates, cachers_in_range, sinrs
+from d2dcache.topology import SimGeometry, Topology
 
 
 def small_config(**overrides):
@@ -392,6 +394,18 @@ def test_config_validation_errors():
     small_config().validate()
     # a JSON integer is a valid value for a float field
     small_config(pmax_dbm=23, zipf_beta=1, betas=[1, 0.5]).validate()
+    # a sub-config field fed by a key of another name is refused under the key
+    for extra, message in (
+        ({"ndl_bandwidth_hz": 0}, "ndl_bandwidth_hz = 0 must be finite and > 0"),
+        ({"cdl_bandwidth_hz": -1.0}, "cdl_bandwidth_hz = -1.0 must be finite and > 0"),
+        ({"d2d_radius_m": math.inf}, "d2d_radius_m = inf must lie in"),
+        ({"sus_epsilon": 1.5}, r"sus_epsilon = 1.5 must lie in \(0, 1\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SimConfig(**extra).validate()
+    # each band is finite, but the nocoop baseline's sum of the two is not
+    with pytest.raises(ValueError, match="bandwidth_hz = inf"):
+        SimConfig(cdl_bandwidth_hz=1e308, ndl_bandwidth_hz=1e308).validate()
 
 
 # radio settings whose linear value overflows, or underflows to 0, and the
@@ -410,13 +424,13 @@ def test_config_rejects_out_of_range_radio_values(extra, field):
     config = SimConfig(**extra)
     with pytest.raises(ValueError, match=f"{field} = .* must be finite and > 0"):
         config.validate()
-    for link_config in (config.cdl_config(), config.ndl_config()):
+    for build_link_config in (config.cdl_config, config.ndl_config):
         with pytest.raises(ValueError, match=field):
-            link_config.validate()
+            build_link_config()
 
 
-# link settings that SimConfig.validate refuses; a library caller of
-# simulate_drop may never call it, so the drop checks the link configs itself
+# link settings that SimConfig.validate refuses; a library caller may never
+# call it, so run_pipeline builds, and so checks, the link configs itself
 BAD_LINK_SETTINGS = [
     {"noise_dbm": float("-inf")},
     {"cdl_bandwidth_hz": -1.0},
@@ -431,3 +445,36 @@ BAD_LINK_SETTINGS = [
 def test_simulate_drop_rejects_bad_link_configs(extra, mode):
     with pytest.raises(ValueError):
         simulate_drop(SimConfig(num_users=30, **extra), 3, mode=mode)
+
+
+@pytest.mark.parametrize("mode", harness.MODES)
+@pytest.mark.parametrize("extra", BAD_LINK_SETTINGS)
+def test_run_pipeline_rejects_bad_link_configs(extra, mode):
+    drop = simulate_drop(SimConfig(num_users=30), 3, mode=mode)
+    with pytest.raises(ValueError):
+        run_pipeline(drop.topology, drop.content, SimConfig(num_users=30, **extra), mode)
+
+
+SUB_CONFIGS = (SimGeometry, Catalog, CdlConfig, NdlConfig)
+
+
+def float_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.init and f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, name", [(cls, name) for cls in SUB_CONFIGS for name in float_fields(cls)]
+)
+def test_sub_configs_refuse_non_finite_values(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls", SUB_CONFIGS)
+def test_sub_configs_are_frozen(cls):
+    config = cls()
+    assert float_fields(cls)
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))

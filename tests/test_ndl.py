@@ -632,7 +632,7 @@ def test_min_power_rejects_nonpositive_targets():
     with pytest.raises(ValueError):
         solve_admission(gains, NOISE, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        NdlConfig(rmin_bps_per_hz=0.0).validate()
+        NdlConfig(rmin_bps_per_hz=0.0)
 
 
 def two_link_feasible(gains, targets, pmax):
@@ -1281,11 +1281,13 @@ def test_link_gain_matrix_orientation():
 
 
 def test_config_validation():
-    NdlConfig().validate()
-    with pytest.raises(ValueError):
-        NdlConfig(weight_mode="nope").validate()
-    with pytest.raises(ValueError):
-        NdlConfig(radius_m=0).validate()
+    NdlConfig()
+    with pytest.raises(ValueError, match="weight_mode"):
+        NdlConfig(weight_mode="nope")
+    with pytest.raises(ValueError, match="radius_m = 0"):
+        NdlConfig(radius_m=0)
+    with pytest.raises(TypeError):
+        NdlConfig(10e6)
 
 
 # --- the M-matrix certificate in exact arithmetic ---------------------------------------

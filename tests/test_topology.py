@@ -15,9 +15,10 @@ from d2dcache.topology import (
 
 
 def test_place_users_single_point_in_range():
-    geom = SimGeometry(side_m=100.0, num_users=1, d2d_radius_m=30.0)
+    # the smallest geometry a drop accepts: a pair of users
+    geom = SimGeometry(side_m=100.0, num_users=2, d2d_radius_m=30.0)
     pts = place_users(geom, np.random.default_rng(0))
-    assert pts.shape == (1, 2)
+    assert pts.shape == (2, 2)
     assert np.all(pts >= 0.0) and np.all(pts <= 100.0)
 
 
@@ -156,13 +157,13 @@ def test_build_topology_matches_reference_bytes(side_m, num_users):
 
 
 def test_geometry_validation():
-    SimGeometry().validate()
-    with pytest.raises(ValueError):
-        SimGeometry(side_m=-1.0).validate()
-    with pytest.raises(ValueError):
-        SimGeometry(num_users=1).validate()
-    with pytest.raises(ValueError):
-        SimGeometry(d2d_radius_m=500.0).validate()
+    SimGeometry()
+    with pytest.raises(ValueError, match="side_m = -1.0"):
+        SimGeometry(side_m=-1.0)
+    with pytest.raises(ValueError, match="num_users = 1"):
+        SimGeometry(num_users=1)
+    with pytest.raises(ValueError, match="d2d_radius_m = 500.0"):
+        SimGeometry(d2d_radius_m=500.0)
 
 
 def test_dbm_to_watt():
