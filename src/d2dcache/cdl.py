@@ -31,16 +31,6 @@ def effective_gains(channel_matrix: np.ndarray, w_bar: np.ndarray) -> np.ndarray
     return np.sum(np.abs(w_bar) ** 2 * np.abs(channel_matrix) ** 2, axis=0)
 
 
-def cdl_sinrs(powers_w, channel_matrix, w_bar, noise_w) -> np.ndarray:
-    gains = effective_gains(channel_matrix, w_bar)
-    return np.asarray(powers_w) * gains / noise_w
-
-
-def cdl_rates(powers_w, channel_matrix, w_bar, noise_w, bandwidth_hz) -> np.ndarray:
-    """Per-CR rate in bits/s under the interference-free precoded form."""
-    return bandwidth_hz * np.log2(1.0 + cdl_sinrs(powers_w, channel_matrix, w_bar, noise_w))
-
-
 @dataclass
 class CdlPowerResult:
     powers_w: np.ndarray
@@ -212,47 +202,36 @@ def qos_floor_powers(
 
 
 def allocate_cdl_power(
-    channel_matrix: np.ndarray,
-    w_bar: np.ndarray,
+    gains: np.ndarray,
+    wsq: np.ndarray,
+    p_min: np.ndarray,
     *,
     pmax_w,
     noise_w,
-    sinr_targets,
-) -> CdlPowerResult | None:
-    """Sum-rate maximizing stream powers, or None when the QoS is infeasible.
+) -> CdlPowerResult:
+    """Sum-rate maximizing stream powers above the QoS floor powers.
 
-    :func:`qos_floor_powers` on the gains g and ``wsq = |w_bar|^2`` of the
-    normalized ZF precoder ``w_bar`` decides feasibility and gives p_min.
-    The remaining concave program (maximize sum log2(1 + g_n p_n / sigma)
-    s.t. wsq p <= Pmax, p >= p_min) is solved by projected Newton on its
-    Lagrange dual, started where every budget binds when that point is
-    optimal.  ``converged`` is the certificate: the
+    Takes the :func:`effective_gains` g, ``wsq = |w_bar|^2`` of the
+    normalized ZF precoder and the floor powers p_min that
+    :func:`qos_floor_powers` admitted them with; floors that leave a CT no
+    headroom raise ValueError.  The remaining concave program (maximize
+    sum log2(1 + g_n p_n / sigma) s.t. wsq p <= Pmax, p >= p_min) is solved
+    by projected Newton on its Lagrange dual, started where every budget
+    binds when that point is optimal.  ``converged`` is the certificate: the
     Lagrange dual bound at the returned ``lambda_tx`` exceeds the returned
     objective by at most ``GAP_TOL`` bit/s/Hz.  ``mu_rx`` are the QoS
     multipliers in rate form, from stationarity
     ``(1 + mu_n) / (ln2 (sigma / g_n + p_n)) = (wsq^T lambda)_n``, and
     ``iterations`` counts dual Newton steps.
     """
-    num_tx, num_rx = channel_matrix.shape
-    pmax_w = np.full(num_tx, pmax_w, dtype=float)
-    noise_w = np.full(num_rx, noise_w, dtype=float)
-    targets = np.full(num_rx, sinr_targets, dtype=float)
-    if num_rx == 0:
-        return CdlPowerResult(np.zeros(0), np.zeros(num_tx), np.zeros(0), 0, True)
+    headroom = pmax_w - wsq @ p_min
+    if not (headroom > 0).all():   # NaN fails the comparison too
+        raise ValueError("QoS floor powers leave a CT no headroom")
 
-    wsq = np.abs(w_bar) ** 2                        # (M, N)
-    gains = effective_gains(channel_matrix, w_bar)  # (N,)
-    p_min = qos_floor_powers(
-        gains, wsq, pmax_w=pmax_w, noise_w=noise_w, sinr_targets=targets
-    )
-    if p_min is None:
-        return None
-
-    # Solve for the excess x = p - p_min in units of the largest budget; the
-    # pre-check leaves every CT positive headroom.
-    scale = float(pmax_w.max())
+    # Solve for the excess x = p - p_min in units of the largest budget.
+    scale = float(np.max(pmax_w))
     a = (noise_w / gains + p_min) / scale
-    budgets = (pmax_w - wsq @ p_min) / scale
+    budgets = headroom / scale
     x, lam, steps = _dual_newton(a, wsq, budgets)
     converged = _duality_gap(a, wsq, budgets, x, lam) <= GAP_TOL
 
@@ -310,14 +289,16 @@ def schedule_cdl(
     and the minimum-power pre-check :func:`qos_floor_powers` passes;
     otherwise selection stops.  Survivors must keep their normalized channel
     correlation to the admitted residual below ``config.epsilon``.  The
-    powers come from one :func:`allocate_cdl_power` solve; an ArithmeticError
-    is raised if it misses its duality-gap certificate.
+    powers come from one :func:`allocate_cdl_power` solve on the gains and
+    floor powers of the last admission; an ArithmeticError is raised if it
+    misses its duality-gap certificate.
     """
     tx = np.asarray(sorted(transmitters), dtype=int)
     pool = np.asarray(sorted(int(c) for c in candidates), dtype=int)
     limit = tx.size if config.allow_full_rank else tx.size - 1
 
     channels = topology.channels.take(tx, axis=0)   # CT rows, every user
+    norms = np.linalg.norm(channels.take(pool, axis=1), axis=0)
     selected: list[int] = []
     precoder: ZfPrecoder | None = None
     while len(selected) < limit and pool.size:
@@ -333,42 +314,38 @@ def schedule_cdl(
             trial_precoder = numerics.zf_precoder(h_trial)
         except PrecoderSingularError:
             break
-        if qos_floor_powers(
-            effective_gains(h_trial, trial_precoder.normalized),
-            np.abs(trial_precoder.normalized) ** 2,
+        gains = effective_gains(h_trial, trial_precoder.normalized)
+        wsq = np.abs(trial_precoder.normalized) ** 2
+        p_min = qos_floor_powers(
+            gains,
+            wsq,
             pmax_w=config.pmax_w,
             noise_w=config.noise_w,
             sinr_targets=config.sinr_target,
-        ) is None:
+        )
+        if p_min is None:
             break
         selected, h_sel, precoder = trial, h_trial, trial_precoder
+        admitted = gains, wsq, p_min
         direction = residuals[:, best]
         norm_dir = np.linalg.norm(direction)
         if norm_dir == 0.0:
             break
-        correlation = np.abs(direction.conj() @ h_pool) / (
-            np.linalg.norm(h_pool, axis=0) * norm_dir
-        )
+        correlation = np.abs(direction.conj() @ h_pool) / (norms * norm_dir)
         keep = correlation < config.epsilon
         keep[best] = False
-        pool = pool[keep]
+        pool, norms = pool[keep], norms[keep]
 
     if precoder is None:
         return CdlSchedule.empty(tx)
+    gains, wsq, p_min = admitted
     result = allocate_cdl_power(
-        h_sel,
-        precoder.normalized,
-        pmax_w=config.pmax_w,
-        noise_w=config.noise_w,
-        sinr_targets=config.sinr_target,
+        gains, wsq, p_min, pmax_w=config.pmax_w, noise_w=config.noise_w
     )
-    # the last admission passed this very pre-check, so the solve is feasible
-    assert result is not None
     if not result.converged:
         raise ArithmeticError("CDL power failed its duality-gap certificate")
-    rates = cdl_rates(
-        result.powers_w, h_sel, precoder.normalized, config.noise_w, config.bandwidth_hz
-    )
+    # the paper's interference-free precoded rate on the admitted gains
+    rates = config.bandwidth_hz * np.log2(1.0 + result.powers_w * gains / config.noise_w)
     return CdlSchedule(
         transmitters=tx,
         receivers=np.asarray(selected, dtype=int),

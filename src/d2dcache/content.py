@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .topology import FieldError
+
 
 @dataclass(frozen=True)
 class Catalog:
@@ -28,7 +30,7 @@ class Catalog:
         if self.num_popular % self.cache_size:
             raise ValueError("num_popular must be divisible by cache_size")
         if not 0.0 <= self.zipf_beta < np.inf:
-            raise ValueError(f"zipf_beta = {self.zipf_beta!r} must be finite and >= 0")
+            raise FieldError("zipf_beta", self.zipf_beta, "must be finite and >= 0")
 
     @property
     def num_groups(self) -> int:

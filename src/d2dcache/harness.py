@@ -106,11 +106,16 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
         if not self.betas or not self.user_counts:
             raise ValueError("betas and user_counts must be non-empty")
-        # every sweep cell is checked before the first one runs
-        for num_users in (self.num_users, *self.user_counts):
-            self.geometry(num_users)
-        for beta in (self.zipf_beta, *self.betas):
-            self.catalog(beta)
+        # every sweep cell is checked before the first one runs, each axis
+        # entry under the key and index the user wrote
+        self.geometry()
+        for i, num_users in enumerate(self.user_counts):
+            with _under_keys(num_users=f"user_counts[{i}]"):
+                self.geometry(num_users)
+        self.catalog()
+        for i, beta in enumerate(self.betas):
+            with _under_keys(zipf_beta=f"betas[{i}]"):
+                self.catalog(beta)
         self.cdl_config()
         self.ndl_config()
         # the nocoop baseline gives its NDLs both bands

@@ -195,11 +195,6 @@ def sinrs(powers_w, gain_matrix, noise_w) -> np.ndarray:
     return signal / (total - signal + noise_w)
 
 
-def ndl_rates(powers_w, gain_matrix, noise_w, bandwidth_hz) -> np.ndarray:
-    """Per-NR rate in bits/s at the given transmit powers."""
-    return bandwidth_hz * np.log2(1.0 + sinrs(powers_w, gain_matrix, noise_w))
-
-
 @dataclass
 class RemovalOutcome:
     kept: list             # surviving (tx, rx) links, receiver-sorted
@@ -323,6 +318,7 @@ class DcaResult:
     sinr: float                 # common SINR of every link, the max-min optimum
     iterations: int             # eigenvalue problems solved
     objective_trajectory: list  # min rate (bits/s/Hz) at the SINR targets, then at the optimum
+    link_sinrs: np.ndarray      # per-link SINR at the returned powers, as certified
 
 
 def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult:
@@ -349,7 +345,7 @@ def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult
     gains = np.asarray(gain_matrix, dtype=float)
     n = gains.shape[0]
     if n == 0:
-        return DcaResult(np.zeros(0), math.inf, 0, [])
+        return DcaResult(np.zeros(0), math.inf, 0, [], np.zeros(0))
     noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
     pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,))
     targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
@@ -367,7 +363,8 @@ def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult
     perron = np.abs(vectors[b, :, np.abs(values[b]).argmax()])
     powers = perron * np.min(pmax / perron)
 
-    spread = np.abs(sinrs(powers, gains, noise) - sinr)
+    link_sinrs = sinrs(powers, gains, noise)
+    spread = np.abs(link_sinrs - sinr)
     if not (
         np.all(powers > 0.0)
         and abs(np.max(powers / pmax) - 1.0) <= TOL.power_feasibility_rel
@@ -376,7 +373,7 @@ def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult
     ):
         raise ArithmeticError(f"max-min power at SINR {sinr!r} failed its certificate")
     trajectory = [float(np.log2(1.0 + np.min(targets))), float(np.log2(1.0 + sinr))]
-    return DcaResult(powers, sinr, n, trajectory)
+    return DcaResult(powers, sinr, n, trajectory, link_sinrs)
 
 
 @dataclass
@@ -416,8 +413,9 @@ def schedule_ndl(
     excluded=frozenset(),
 ) -> NdlSchedule:
     """Run candidate construction, role resolution, matching, admission and
-    max-min power allocation for the non-cooperative groups.  ``in_range``
-    is the drop's :func:`cachers_in_range` mask."""
+    max-min power allocation for the non-cooperative groups; the rates come
+    from the SINRs the max-min certificate checked.  ``in_range`` is the
+    drop's :func:`cachers_in_range` mask."""
     supplies = build_candidates(content, in_range, excluded)
     resolved = nt_nr_decision(supplies, topology, config.noise_w, config.sinr_target)
     links = select_links(resolved, topology, config.weight_mode)
@@ -429,9 +427,7 @@ def schedule_ndl(
     power = dc_power_allocation(
         removal.gain_matrix, config.noise_w, config.pmax_w, removal.sinr_targets
     )
-    rates = ndl_rates(
-        power.powers_w, removal.gain_matrix, config.noise_w, config.bandwidth_hz
-    )
+    rates = config.bandwidth_hz * np.log2(1.0 + power.link_sinrs)
     return NdlSchedule(
         links=removal.kept,
         gain_matrix=removal.gain_matrix,

@@ -76,13 +76,14 @@ def test_criterion_2_cdl_power_oracle():
             prec = numerics.zf_precoder(h)
         except numerics.PrecoderSingularError:
             continue
-        res = cdl.allocate_cdl_power(
-            h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
-        )
-        if res is None:
-            continue
         wsq = np.abs(prec.normalized) ** 2
         gains = cdl.effective_gains(h, prec.normalized)
+        p_min = cdl.qos_floor_powers(
+            gains, wsq, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
+        )
+        if p_min is None:
+            continue
+        res = cdl.allocate_cdl_power(gains, wsq, p_min, pmax_w=PMAX, noise_w=NOISE)
         feasible_ok &= bool(np.all(wsq @ res.powers_w <= PMAX * (1 + 1e-6)))
         feasible_ok &= bool(
             np.all(res.powers_w * gains / NOISE >= gamma * (1 - 1e-6))

@@ -8,9 +8,8 @@ from d2dcache.cdl import (
     GAP_TOL,
     CdlConfig,
     allocate_cdl_power,
-    cdl_rates,
-    cdl_sinrs,
     effective_gains,
+    qos_floor_powers,
     schedule_cdl,
 )
 from d2dcache.numerics import TOL
@@ -41,6 +40,22 @@ def grid_best_objective(wsq, gains, gamma, points=200):
     return float(objective.max(initial=-np.inf))
 
 
+def power_solve(h, w_bar, *, pmax_w=PMAX, noise_w=NOISE, sinr_targets):
+    """The power step ``schedule_cdl`` runs on a fixed CR set: the QoS floor
+    pre-check on the effective gains and ``wsq = |w_bar|^2``, then the
+    sum-rate solve from those floors.  Returns ``(result, gains, wsq)``;
+    the result is None when the pre-check refuses the set."""
+    gains = effective_gains(h, w_bar)
+    wsq = np.abs(w_bar) ** 2
+    p_min = qos_floor_powers(
+        gains, wsq, pmax_w=pmax_w, noise_w=noise_w, sinr_targets=sinr_targets
+    )
+    if p_min is None:
+        return None, gains, wsq
+    result = allocate_cdl_power(gains, wsq, p_min, pmax_w=pmax_w, noise_w=noise_w)
+    return result, gains, wsq
+
+
 def topology_from_channels(channels):
     k = channels.shape[0]
     return Topology(
@@ -54,40 +69,52 @@ def topology_from_channels(channels):
 
 
 def test_rate_zero_power():
-    rng = np.random.default_rng(0)
-    h = random_channels(rng, 3, 2)
-    prec = numerics.zf_precoder(h)
-    rates = cdl_rates(np.zeros(2), h, prec.normalized, NOISE, 10e6)
-    assert np.all(rates == 0.0)
+    """A CR the QoS pre-check refuses gets no power and the schedule no rate."""
+    topo = coop_topology(np.array([[1e-9 + 0j]]))  # deep fade: gain 1e-18
+    schedule = schedule_cdl([0], [1], topo, CdlConfig())
+    assert schedule.num_served == 0 and schedule.precoder is None
+    assert schedule.powers_w.shape == schedule.rates_bps.shape == (0,)
+    assert schedule.sum_rate_bps == 0.0
 
 
 def test_rate_scalar_reduction():
     rng = np.random.default_rng(1)
     h = random_channels(rng, 1, 1)
-    prec = numerics.zf_precoder(h)
-    p = 0.05
-    rate = cdl_rates(np.array([p]), h, prec.normalized, NOISE, 10e6)[0]
-    expected = 10e6 * np.log2(1.0 + p * abs(h[0, 0]) ** 2 / NOISE)
-    assert rate == pytest.approx(expected, rel=1e-12)
+    config = CdlConfig(rmin_bps_per_hz=0.5)
+    schedule = schedule_cdl([0], [1], coop_topology(h), config)
+    assert schedule.num_served == 1
+    p = schedule.powers_w[0]
+    expected = 10e6 * np.log2(1.0 + p * abs(h[0, 0]) ** 2 / config.noise_w)
+    assert schedule.rates_bps[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_with_explicit_interference_matches_precoded_form():
+    """The paper-form rate the schedule reports equals the rate with the
+    explicit inter-CDL cross terms of its ZF precoder."""
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        m = rng.integers(2, 6)
-        n = rng.integers(2, m + 1)
-        h = random_channels(rng, m, n)
-        prec = numerics.zf_precoder(h)
-        powers = rng.uniform(0.01, 0.1, n)
-        direct = cdl_rates(powers, h, prec.normalized, NOISE, 10e6)
-        gains = effective_gains(h, prec.normalized)
+    config = CdlConfig(epsilon=0.95, rmin_bps_per_hz=0.5)
+    checked = 0
+    while checked < 20:
+        m = int(rng.integers(2, 6))
+        h = random_channels(rng, m, int(rng.integers(2, m + 1)))
+        schedule = schedule_cdl(
+            list(range(m)), list(range(m, m + h.shape[1])), coop_topology(h), config
+        )
+        n = schedule.num_served
+        if n < 2:
+            continue
+        w_bar = schedule.precoder.normalized
+        h_sel = schedule.channel_matrix
+        powers = schedule.powers_w
+        gains = effective_gains(h_sel, w_bar)
         for idx in range(n):
             # signal over noise plus the explicit inter-CDL cross terms
-            cross = np.abs(h[:, idx].conj() @ prec.normalized) ** 2
+            cross = np.abs(h_sel[:, idx].conj() @ w_bar) ** 2
             interference = np.sum(np.delete(powers * cross, idx))
-            sinr = powers[idx] * gains[idx] / (interference + NOISE)
+            sinr = powers[idx] * gains[idx] / (interference + config.noise_w)
             general = 10e6 * np.log2(1.0 + sinr)
-            assert general == pytest.approx(direct[idx], rel=1e-9)
+            assert general == pytest.approx(schedule.rates_bps[idx], rel=1e-9)
+        checked += 1
 
 
 # --- power allocation ------------------------------------------------------------
@@ -97,9 +124,7 @@ def test_single_link_uses_peak_power():
     rng = np.random.default_rng(3)
     h = random_channels(rng, 1, 1)
     prec = numerics.zf_precoder(h)
-    res = allocate_cdl_power(
-        h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=0.0
-    )
+    res, _, _ = power_solve(h, prec.normalized, sinr_targets=0.0)
     assert res is not None
     assert res.powers_w[0] == pytest.approx(PMAX, rel=1e-9)
 
@@ -110,9 +135,7 @@ def test_infeasible_when_qos_exceeds_peak_power():
     gamma = 2.0**0.5 - 1.0
     # capacity at peak power is far below the floor
     assert PMAX * 1e-18 / NOISE < gamma
-    res = allocate_cdl_power(
-        h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
-    )
+    res, _, _ = power_solve(h, prec.normalized, sinr_targets=gamma)
     assert res is None
 
 
@@ -123,13 +146,9 @@ def test_allocation_matches_grid_oracle():
     while checked < 30:
         h = random_channels(rng, 2, 2)
         prec = numerics.zf_precoder(h)
-        res = allocate_cdl_power(
-            h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
-        )
+        res, gains, wsq = power_solve(h, prec.normalized, sinr_targets=gamma)
         if res is None:
             continue
-        wsq = np.abs(prec.normalized) ** 2
-        gains = effective_gains(h, prec.normalized)
         best = grid_best_objective(wsq, gains, gamma)
         got = float(np.sum(np.log2(1.0 + res.powers_w * gains / NOISE)))
         assert got >= 0.99 * best
@@ -143,11 +162,7 @@ def test_allocation_matches_grid_oracle_three_receivers():
     while checked < 20:
         h = random_channels(rng, int(rng.integers(3, 5)), 3)
         prec = numerics.zf_precoder(h)
-        res = allocate_cdl_power(
-            h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
-        )
-        wsq = np.abs(prec.normalized) ** 2
-        gains = effective_gains(h, prec.normalized)
+        res, gains, wsq = power_solve(h, prec.normalized, sinr_targets=gamma)
         best = grid_best_objective(wsq, gains, gamma, points=80)
         if res is None or not np.isfinite(best):
             continue
@@ -169,14 +184,10 @@ def test_allocation_feasibility_and_multiplier_invariants():
         gamma = 2.0 ** rng.choice([0.0, 1.5, 4.0]) - 1.0
         h = random_channels(rng, m, n)
         prec = numerics.zf_precoder(h)
-        res = allocate_cdl_power(
-            h, prec.normalized, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
-        )
+        res, gains, wsq = power_solve(h, prec.normalized, sinr_targets=gamma)
         if res is None:
             continue
         assert res.converged
-        wsq = np.abs(prec.normalized) ** 2
-        gains = effective_gains(h, prec.normalized)
         p, lam, mu = res.powers_w, res.lambda_tx, res.mu_rx
         # primal and dual feasibility
         assert np.all(p >= 0.0)
@@ -198,8 +209,9 @@ def test_allocation_feasibility_and_multiplier_invariants():
 
 def test_floors_must_leave_every_budget_headroom():
     """CR 0 alone on CT 0 and CR 1 alone on CT 1.  A floor that uses up CT 0's
-    budget, exactly or just past it, is refused by the pre-check and by the
-    solve; floors just under it leave a tiny budget that still certifies."""
+    budget, exactly or just past it, is refused by the pre-check, and the
+    solve raises on it; floors just under it leave a tiny budget that still
+    certifies."""
     amp = 1e-4
     h = np.diag([amp, amp]).astype(complex)
     prec = numerics.zf_precoder(h)
@@ -211,20 +223,29 @@ def test_floors_must_leave_every_budget_headroom():
     for share in (1.0, past, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15):
         pmax = np.array([floor / share, PMAX])
         kwargs = dict(pmax_w=pmax, noise_w=NOISE, sinr_targets=gammas)
-        p_min = cdl.qos_floor_powers(gains, wsq, **kwargs)
-        res = allocate_cdl_power(h, prec.normalized, **kwargs)
+        p_min = qos_floor_powers(gains, wsq, **kwargs)
         if share >= 1.0:
-            assert p_min is None and res is None
+            assert p_min is None
+            # the same floors handed to the solve directly
+            floors = gammas * NOISE / gains
+            with pytest.raises(ValueError, match="no headroom"):
+                allocate_cdl_power(gains, wsq, floors, pmax_w=pmax, noise_w=NOISE)
             continue
-        assert p_min is not None and res is not None and res.converged
+        assert p_min is not None
+        res = allocate_cdl_power(gains, wsq, p_min, pmax_w=pmax, noise_w=NOISE)
+        assert res.converged
         assert res.powers_w[0] == pytest.approx(floor, rel=1e-8)
         assert res.powers_w[1] == pytest.approx(PMAX, rel=1e-9)
         assert np.all(res.lambda_tx > 0.0) and np.all(res.mu_rx >= 0.0)
     # a NaN load is refused, not taken for headroom
     nan_wsq = np.where(np.eye(2, dtype=bool), np.nan, wsq)
-    assert cdl.qos_floor_powers(
+    assert qos_floor_powers(
         gains, nan_wsq, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gammas
     ) is None
+    with pytest.raises(ValueError, match="no headroom"):
+        allocate_cdl_power(
+            gains, nan_wsq, gammas * NOISE / gains, pmax_w=PMAX, noise_w=NOISE
+        )
 
 
 def interior_point(a, wsq, budgets):
@@ -304,10 +325,10 @@ def test_dual_newton_matches_interior_point(monkeypatch):
             busiest = int(np.argmax(floors / pmax))
             pmax[busiest] = floors[busiest]
         kwargs = dict(pmax_w=pmax, noise_w=NOISE, sinr_targets=gamma)
-        res = allocate_cdl_power(h, prec.normalized, **kwargs)
+        res, _, _ = power_solve(h, prec.normalized, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(cdl, "_dual_newton", interior_point)
-            ref = allocate_cdl_power(h, prec.normalized, **kwargs)
+            ref, _, _ = power_solve(h, prec.normalized, **kwargs)
         if spends:
             assert res is None and ref is None
             spent += 1
@@ -351,10 +372,8 @@ def test_pipeline_power_allocations_are_certified(monkeypatch):
     results = []
 
     def recording(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        if result is not None:
-            results.append(result)
-        return result
+        results.append(solve(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(cdl, "allocate_cdl_power", recording)
     config = harness.SimConfig()
@@ -468,7 +487,7 @@ def full_power_sum_rate(h, config):
         prec = numerics.zf_precoder(h)
     except numerics.PrecoderSingularError:
         return None
-    res = allocate_cdl_power(
+    res, gains, _ = power_solve(
         h,
         prec.normalized,
         pmax_w=config.pmax_w,
@@ -477,7 +496,6 @@ def full_power_sum_rate(h, config):
     )
     if res is None:
         return None
-    gains = effective_gains(h, prec.normalized)
     return float(np.sum(np.log2(1.0 + res.powers_w * gains / config.noise_w)))
 
 
@@ -526,8 +544,7 @@ def test_schedule_invariants_on_random_instances():
         gains = effective_gains(schedule.channel_matrix, prec.normalized)
         # peak power and QoS hold on everything the scheduler returns
         assert np.all(wsq @ schedule.powers_w <= config.pmax_w * (1.0 + 1e-6))
-        sinr = cdl_sinrs(schedule.powers_w, schedule.channel_matrix, prec.normalized,
-                         config.noise_w)
+        sinr = schedule.powers_w * gains / config.noise_w
         assert np.all(sinr >= config.sinr_target * (1.0 - 1e-6))
         # zero cross-talk between scheduled receivers
         for k in range(schedule.num_served):
@@ -568,7 +585,7 @@ def per_candidate_schedule(tx, candidates, topology, config):
             prec = numerics.zf_precoder(h_sel)
         except numerics.PrecoderSingularError:
             break
-        result = allocate_cdl_power(
+        result, _, _ = power_solve(
             h_sel,
             prec.normalized,
             pmax_w=config.pmax_w,

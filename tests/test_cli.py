@@ -147,6 +147,12 @@ def test_wrongly_typed_config_value_fails(tmp_path, capsys, extra):
         ({"ndl_bandwidth_hz": 0}, "ndl_bandwidth_hz"),
         ({"cdl_bandwidth_hz": -1}, "cdl_bandwidth_hz"),
         ({"sus_epsilon": 1.5}, "sus_epsilon"),
+        # a sweep-axis entry is named by its key and index, a scalar cell
+        # field by its own key
+        ({"user_counts": [8, 1]}, "user_counts[1] = 1 must be >= 2"),
+        ({"betas": [0.8, -1.0]}, "betas[1] = -1.0 must be finite and >= 0"),
+        ({"num_users": 1}, "num_users = 1 must be >= 2"),
+        ({"zipf_beta": -1.0}, "zipf_beta = -1.0 must be finite and >= 0"),
     ],
 )
 def test_out_of_range_radio_value_fails_naming_the_field(tmp_path, capsys, extra, field):

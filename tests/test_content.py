@@ -24,6 +24,7 @@ from d2dcache.harness import (
     classify_users,
 )
 from d2dcache.ndl import cachers_in_range
+from d2dcache.topology import FieldError
 
 DEFAULT = Catalog(num_files=200, cache_size=10, num_popular=100, zipf_beta=0.8)
 
@@ -408,5 +409,7 @@ def test_catalog_validation():
         Catalog(num_popular=5)
     with pytest.raises(ValueError):
         Catalog(cache_size=0)
-    with pytest.raises(ValueError, match="zipf_beta"):
+    # a FieldError, so a caller can name the value by its own key
+    with pytest.raises(FieldError, match="zipf_beta") as refused:
         Catalog(zipf_beta=-0.1)
+    assert (refused.value.name, refused.value.value) == ("zipf_beta", -0.1)

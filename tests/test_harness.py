@@ -3,12 +3,13 @@ import json
 import math
 import re
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from d2dcache import harness
+from d2dcache import cdl, harness
 from d2dcache.cdl import CdlConfig
 from d2dcache.content import Catalog, ContentState
 from d2dcache.harness import (
@@ -201,6 +202,56 @@ def test_drop_level_bounds_and_rate_floors():
         assert result.metrics.served_nrs <= supplies.any(axis=0).sum()
         assert np.all(result.cdl_schedule.rates_bps >= floor_c * (1 - 1e-6))
         assert np.all(result.ndl_schedule.rates_bps >= floor_n * (1 - 1e-6))
+
+
+@pytest.mark.parametrize("num_users, beta", [(30, 1.2), (100, 0.6)])
+def test_schedules_hand_their_certified_quantities_forward(num_users, beta):
+    """The CDL powers and rates equal a fresh power solve on the returned
+    precoder, and the NDL rates equal the rates at the returned powers, bit
+    for bit: the quantities a schedule hands forward change nothing."""
+    config = SimConfig()
+    cdl_config = config.cdl_config()
+    served = Counter()
+    for mode in harness.MODES:
+        ndl_band = config.ndl_bandwidth_hz
+        if mode == "nocoop":
+            ndl_band += config.cdl_bandwidth_hz
+        ndl_config = config.ndl_config(ndl_band)
+        for seed in range(1, 41):
+            result = simulate_drop(
+                config, seed, num_users=num_users, beta=beta, mode=mode
+            )
+            schedule = result.cdl_schedule
+            if schedule.num_served:
+                w_bar = schedule.precoder.normalized
+                gains = cdl.effective_gains(schedule.channel_matrix, w_bar)
+                wsq = np.abs(w_bar) ** 2
+                p_min = cdl.qos_floor_powers(
+                    gains,
+                    wsq,
+                    pmax_w=cdl_config.pmax_w,
+                    noise_w=cdl_config.noise_w,
+                    sinr_targets=cdl_config.sinr_target,
+                )
+                fresh = cdl.allocate_cdl_power(
+                    gains,
+                    wsq,
+                    p_min,
+                    pmax_w=cdl_config.pmax_w,
+                    noise_w=cdl_config.noise_w,
+                )
+                rates = cdl_config.bandwidth_hz * np.log2(
+                    1.0 + fresh.powers_w * gains / cdl_config.noise_w
+                )
+                assert np.array_equal(schedule.powers_w, fresh.powers_w)
+                assert np.array_equal(schedule.rates_bps, rates)
+                served["cdl"] += 1
+            links = result.ndl_schedule
+            achieved = sinrs(links.powers_w, links.gain_matrix, ndl_config.noise_w)
+            rates = ndl_config.bandwidth_hz * np.log2(1.0 + achieved)
+            assert np.array_equal(links.rates_bps, rates)
+            served[mode] += links.num_served > 0
+    assert min(served["cdl"], served["coop"], served["nocoop"]) >= 30, served
 
 
 # --- aggregation and CSV -------------------------------------------------------------
