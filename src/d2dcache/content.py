@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,16 +50,27 @@ def place_caches(num_users: int, catalog: Catalog, rng: np.random.Generator) -> 
     return rng.integers(0, catalog.num_groups, size=num_users)
 
 
+@lru_cache(maxsize=32)
+def request_cdf(catalog: Catalog) -> np.ndarray:
+    """Cumulative Zipf distribution over file ranks, built as numpy's
+    ``Generator.choice`` builds it from ``p``; read-only, one per catalog."""
+    cdf = file_request_probs(catalog).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def draw_requests(
     num_users: int, catalog: Catalog, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw one Zipf file request per user.
 
     Returns the (K,) requested group indices, -1 for a request beyond the
-    popular set.
+    popular set.  The draw equals ``rng.choice(num_files, num_users,
+    p=file_request_probs(catalog))``: one uniform per user, located in the
+    cached CDF.
     """
-    probs = file_request_probs(catalog)
-    files = rng.choice(catalog.num_files, size=num_users, p=probs)
+    files = request_cdf(catalog).searchsorted(rng.random(num_users), side="right")
     return np.where(files < catalog.num_popular, files // catalog.cache_size, -1)
 
 

@@ -1,16 +1,16 @@
 """Shared numerical kernels: ZF precoding, Gram-Schmidt residuals, certified
 solves of Z-matrix systems (the link admission systems), maximum-weight
-bipartite matching on a dense weight block and a projected dual-ascent
+bipartite matching by shortest augmenting paths and a projected dual-ascent
 helper."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -148,24 +148,111 @@ def max_weight_matching(weights, is_edge) -> list[tuple[int, int]]:
     """Vertex-disjoint edge set of maximum total weight, sorted by left vertex.
 
     ``weights`` is the dense num_left x num_right weight matrix, non-edges at
-    zero, and ``is_edge`` marks the real edges.  Solved as a rectangular
-    assignment over the dense matrix: with non-negative weights, optimal
-    assignments restricted to real edges are exactly the maximum-weight
-    matchings.
+    zero, and ``is_edge`` marks the real edges.  Edge weights must be finite
+    and non-negative.  Solved on the edge list by :func:`_shortest_paths`.
     """
     if weights.shape != is_edge.shape:
         raise ValueError("weight matrix and edge mask differ in shape")
     edge_weights = weights[is_edge]
     if not edge_weights.size:
         return []
-    if not edge_weights.min() >= 0.0:  # NaN fails the comparison too
-        kind = "NaN" if np.isnan(edge_weights).any() else "negative"
+    if not (edge_weights.min() >= 0.0 and edge_weights.max() < np.inf):  # NaN fails both
+        if np.isnan(edge_weights).any():
+            kind = "NaN"
+        elif edge_weights.min() < 0.0:
+            kind = "negative"
+        else:
+            kind = "infinite"
         raise ValueError(f"edge with {kind} weight")
     if np.count_nonzero(weights) != np.count_nonzero(edge_weights):
         raise ValueError("non-edge with non-zero weight")
-    rows, cols = linear_sum_assignment(weights, maximize=True)  # rows ascending
-    keep = is_edge[rows, cols]
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    rows, cols = np.nonzero(is_edge)  # row-major, the order of edge_weights
+    adjacency = [[] for _ in range(is_edge.shape[0])]
+    for i, j, cost in zip(rows.tolist(), cols.tolist(), (-edge_weights).tolist()):
+        adjacency[i].append((j, cost))
+    col_of = _shortest_paths(adjacency, is_edge.shape[1])
+    return [(i, j) for i, j in enumerate(col_of) if j >= 0]
+
+
+def _shortest_paths(adjacency, num_right: int) -> list[int]:
+    """Minimum-cost assignment of every left vertex to one of its edges or to
+    a private zero-cost "unmatched" column; returns each left vertex's right
+    vertex, -1 for unmatched.
+
+    ``adjacency[i]`` lists row i's (column, cost) pairs.  Rows enter one at a
+    time, and each is placed along a shortest augmenting path in reduced costs
+    c_ij - u_i - v_j, which stay non-negative on every edge of an assigned
+    row (Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 2016).  A free column keeps v_j = 0.  A row's private column has
+    only that row as a neighbour, so it is never assigned to another row; it
+    needs no dual of its own, and a row placed on it is never reached again.
+    """
+    u = [0.0] * len(adjacency)
+    v = [0.0] * num_right
+    owner = [-1] * num_right          # row holding each column
+    col_of = [-1] * len(adjacency)    # column of each row, -1: its private one
+    for i, edges in enumerate(adjacency):
+        # fast path: the cheapest first step ends at a free column, the row's
+        # private one included; Dijkstra would stop there too
+        best, best_cost = -1, 0.0     # the private column costs 0
+        for j, cost in edges:
+            if cost - v[j] < best_cost:
+                best, best_cost = j, cost - v[j]
+        if best < 0 or owner[best] < 0:
+            u[i] = best_cost
+            if best >= 0:
+                owner[best], col_of[i] = i, best
+            continue
+        # Dijkstra over the columns, from row i at distance 0
+        dist = {}                     # tentative distance of each reached column
+        pred = {}                     # row each reached column was reached from
+        done = {}                     # scanned (assigned) column -> its distance
+        heap = []
+        exit_cost, exit_row = math.inf, -1  # cheapest private column reached
+        row, row_dist = i, 0.0
+        while True:
+            base = row_dist - u[row]
+            if base < exit_cost:
+                exit_cost, exit_row = base, row
+            for j, cost in edges:
+                if j in done:
+                    continue
+                d = base + cost - v[j]
+                if d < dist.get(j, math.inf):
+                    dist[j] = d
+                    pred[j] = row
+                    heapq.heappush(heap, (d, j))
+            while heap and heap[0][1] in done:
+                heapq.heappop(heap)
+            if not heap or exit_cost <= heap[0][0]:
+                sink, min_cost = -1, exit_cost
+                break
+            row_dist, j = heapq.heappop(heap)
+            if owner[j] < 0:
+                sink, min_cost = j, row_dist
+                break
+            done[j] = row_dist
+            row = owner[j]
+            edges = adjacency[row]
+        # dual update: assigned edges and the path keep zero reduced cost
+        u[i] += min_cost
+        for j, d in done.items():
+            u[owner[j]] += min_cost - d
+            v[j] -= min_cost - d
+        # augment: each column on the path passes to the row it was reached
+        # from; a private sink first frees its row's column
+        if sink < 0:
+            row, sink = exit_row, col_of[exit_row]
+            col_of[row] = -1
+            if row == i:
+                continue
+        while True:
+            row = pred[sink]
+            owner[sink] = row
+            col_of[row], sink = sink, col_of[row]
+            if row == i:
+                break
+    return col_of
 
 
 @dataclass

@@ -2,6 +2,7 @@
 shared helpers they are built from."""
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from d2dcache import ndl, numerics
 
@@ -32,3 +33,13 @@ def edge_block(num_left, num_right, edges) -> tuple[np.ndarray, np.ndarray]:
         weights[left, right] = weight
         is_edge[left, right] = True
     return weights, is_edge
+
+
+def assignment_matching(weights, is_edge) -> list[tuple[int, int]]:
+    """Maximum-weight matching by scipy's rectangular assignment on the dense
+    block, the real edges of the optimal assignment sorted by left vertex:
+    with non-negative weights these are exactly the maximum-weight
+    matchings.  The library matcher must return the same pairs."""
+    rows, cols = linear_sum_assignment(weights, maximize=True)  # rows ascending
+    keep = is_edge[rows, cols]
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))

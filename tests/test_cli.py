@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +210,32 @@ def test_failed_power_certificate_is_one_error_line(tmp_path, capsys, monkeypatc
     assert "failed its certificate" in lines[0]
     assert "Traceback" not in err
     assert not (out / "results.csv").exists()
+
+
+# A None entry in sys.modules makes every import of scipy, or of any of its
+# submodules, raise ImportError.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from d2dcache import cli, harness
+config = harness.SimConfig()
+for num_users in (30, 100):
+    for mode in harness.MODES:
+        harness.run_drop(config, 1, num_users=num_users, beta=1.2, mode=mode)
+sys.exit(cli.main(["simulate", "--drops", "2", "--out", sys.argv[1]]))
+"""
+
+
+def test_library_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: a drop of each mode at K=30 and
+    K=100, and a CLI run, import none of it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), path])))
+    out = tmp_path / "out"
+    completed = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert len(read_results(out / "results.csv")) == 1

@@ -98,6 +98,29 @@ def drawn_ranks(num_users, catalog, seed):
     return rng.choice(catalog.num_files, size=num_users, p=probs) + 1
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.4, 0.8, 1.2, 2.0, 50.0])
+def test_requests_equal_choice_with_zipf_probs(beta):
+    """The cached-CDF draw picks the files, and leaves the generator in the
+    state, that ``rng.choice(..., p=file_request_probs(catalog))`` does."""
+    catalogs = (
+        Catalog(zipf_beta=beta),
+        Catalog(num_files=60, cache_size=5, num_popular=30, zipf_beta=beta),
+    )
+    for catalog in catalogs:
+        for num_users in (2, 30, 100):
+            for seed in range(40):
+                rng = np.random.default_rng(seed)
+                requested = draw_requests(num_users, catalog, rng)
+                ref_rng = np.random.default_rng(seed)
+                probs = file_request_probs(catalog)
+                files = ref_rng.choice(catalog.num_files, size=num_users, p=probs)
+                want = np.where(
+                    files < catalog.num_popular, files // catalog.cache_size, -1
+                )
+                assert np.array_equal(requested, want)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_requests_degenerate_zipf():
     cat = Catalog(zipf_beta=50.0)
     requested = draw_requests(200, cat, np.random.default_rng(2))

@@ -26,7 +26,7 @@ from d2dcache.ndl import (
 from d2dcache.numerics import TOL
 from d2dcache.topology import SimGeometry, Topology, build_topology
 from d2dcache.content import build_content_state, Catalog
-from reference import edge_block, min_power_vector
+from reference import assignment_matching, edge_block, min_power_vector
 
 NOISE = 1e-12
 PMAX = 0.2
@@ -578,6 +578,31 @@ def test_mask_front_end_matches_dict_reference(monkeypatch):
             harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
     assert len(with_candidates) == 1000
     assert sum(with_candidates) > 950
+
+
+def test_pipeline_matchings_equal_assignment_reference(monkeypatch):
+    """Every matching block of the reference cells, in both weight modes, is
+    matched pair for pair as scipy's rectangular assignment matches it."""
+    matcher = numerics.max_weight_matching
+    calls = []
+
+    def recording(weights, is_edge):
+        pairs = matcher(weights, is_edge)
+        calls.append((weights, is_edge, pairs))
+        return pairs
+
+    monkeypatch.setattr(numerics, "max_weight_matching", recording)
+    for weight_mode in WEIGHT_MODES:
+        config = harness.SimConfig(weight_mode=weight_mode)
+        for num_users, mode, beta in REFERENCE_CELLS:
+            for seed in range(1, 201):
+                harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
+    assert len(calls) == 2000
+    contested = 0
+    for weights, is_edge, pairs in calls:
+        assert pairs == assignment_matching(weights, is_edge)
+        contested += len(pairs) < np.count_nonzero(is_edge)
+    assert contested > 1000
 
 
 # --- link checking -------------------------------------------------------------------

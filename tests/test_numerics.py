@@ -18,7 +18,7 @@ from d2dcache.numerics import (
     solve_linear,
     zf_precoder,
 )
-from reference import edge_block
+from reference import assignment_matching, edge_block
 
 
 def random_complex(rng, shape):
@@ -344,6 +344,8 @@ def test_matching_rejects_bad_edges():
         max_weight_matching(*edge_block(1, 1, [(0, 0, float("nan"))]))
     with pytest.raises(ValueError):
         max_weight_matching(*edge_block(1, 1, [(0, 0, -1.0)]))
+    with pytest.raises(ValueError, match="infinite"):
+        max_weight_matching(np.array([[np.inf]]), np.array([[True]]))
 
 
 def test_matching_dense_block_rejects_bad_input():
@@ -370,6 +372,27 @@ def test_matching_equals_bruteforce_seeded():
         lefts = [i for i, _ in pairs]
         assert len(set(rights)) == len(rights) and len(set(lefts)) == len(lefts)
         assert matching_weight(edges, pairs) == brute_force_matching_weight(edges)
+
+
+@pytest.mark.parametrize(
+    "num_left, num_right, empty_rows, empty_cols",
+    [(12, 7, 0, 0), (7, 12, 0, 0), (15, 15, 4, 0), (15, 15, 0, 4), (40, 30, 5, 5)],
+)
+def test_matching_equals_assignment_reference(num_left, num_right, empty_rows, empty_cols):
+    """Pair for pair the same matching as scipy's rectangular assignment, on
+    blocks with continuous weights, a larger left or right side, and rows or
+    columns without an edge.  The weights span eight decades, about the
+    spread of a drop's link gains; over sixteen, a light edge can fall below
+    the rounding of the total, and two optimal matchings tie."""
+    rng = np.random.default_rng(num_left * 100 + num_right + 7 * empty_rows + empty_cols)
+    for _ in range(200):
+        is_edge = rng.random((num_left, num_right)) < rng.uniform(0.05, 0.9)
+        is_edge[rng.choice(num_left, empty_rows, replace=False), :] = False
+        is_edge[:, rng.choice(num_right, empty_cols, replace=False)] = False
+        scale = 10.0 ** rng.integers(-4, 5, size=(num_left, num_right))
+        weights = np.where(is_edge, rng.exponential(size=is_edge.shape) * scale, 0.0)
+        pairs = max_weight_matching(weights, is_edge)
+        assert pairs == assignment_matching(weights, is_edge)
 
 
 @given(st.data())
