@@ -26,18 +26,17 @@ class CdlConfig(LinkConfig):
             raise FieldError("epsilon", self.epsilon, "must lie in (0, 1)")
 
 
-def effective_gains(channel_matrix: np.ndarray, w_bar: np.ndarray) -> np.ndarray:
-    """Per-receiver effective power gain sum_m |w_bar[m,n]|^2 |h[m,n]|^2."""
-    return np.sum(np.abs(w_bar) ** 2 * np.abs(channel_matrix) ** 2, axis=0)
+def effective_gains(channel_matrix: np.ndarray, wsq: np.ndarray) -> np.ndarray:
+    """Per-receiver effective power gain sum_m wsq[m,n] |h[m,n]|^2, with
+    ``wsq = |w_bar|^2`` of the normalized ZF precoder."""
+    return np.sum(wsq * np.abs(channel_matrix) ** 2, axis=0)
 
 
 @dataclass
 class CdlPowerResult:
     powers_w: np.ndarray
-    lambda_tx: np.ndarray   # per-CT peak-power multipliers
-    mu_rx: np.ndarray       # per-CR QoS multipliers
-    iterations: int
-    converged: bool
+    iterations: int     # dual Newton steps
+    converged: bool     # duality gap at most GAP_TOL
 
 
 # Duality gap, in bit/s/Hz of sum rate, at which a power allocation is
@@ -74,15 +73,6 @@ def _dual(a, wsq, budgets, lam):
     level = np.maximum(1.0 / (LN2 * price) - a, 0.0)
     value = (np.log1p(level / a) / LN2 - price * level).sum() + lam @ budgets
     return float(value), level, price
-
-
-def _duality_gap(a, wsq, budgets, x, lam) -> float:
-    """Dual bound at ``lam`` minus the objective at ``x`` for the
-    :func:`_dual` problem.  For a feasible ``x`` the gap bounds its distance
-    to the optimum from above (weak duality); a stream left unpriced bounds
-    nothing.
-    """
-    return _dual(a, wsq, budgets, lam)[0] - _sum_rate(a, x)
 
 
 def _start_prices(a, wsq):
@@ -123,7 +113,10 @@ def _dual_newton(a, wsq, budgets):
     lam >= 0.  The primal point is the water levels shrunk uniformly into
     the budgets; the solve stops as soon as that shrink is within
     ``SHRINK_TOL`` of 1 and the duality gap is at most ``GAP_TOL``, or a
-    guard trips.  Returns ``(x, lam, newton_steps)``.
+    guard trips.  Returns ``(x, lam, newton_steps, gap)``: ``gap`` is the
+    dual bound at ``lam`` minus the objective at ``x``, which for the
+    feasible ``x`` bounds its distance to the optimum from above (weak
+    duality).
     """
     wsq = wsq / budgets[:, None]
     ones = np.ones(wsq.shape[0])
@@ -173,7 +166,7 @@ def _dual_newton(a, wsq, budgets):
             break   # rounding stalls the method
         lam, value, level, price = trial, trial_value, trial_level, trial_price
         steps += 1
-    return x, lam / budgets, steps
+    return x, lam / budgets, steps, gap
 
 
 def qos_floor_powers(
@@ -217,12 +210,10 @@ def allocate_cdl_power(
     headroom raise ValueError.  The remaining concave program (maximize
     sum log2(1 + g_n p_n / sigma) s.t. wsq p <= Pmax, p >= p_min) is solved
     by projected Newton on its Lagrange dual, started where every budget
-    binds when that point is optimal.  ``converged`` is the certificate: the
-    Lagrange dual bound at the returned ``lambda_tx`` exceeds the returned
-    objective by at most ``GAP_TOL`` bit/s/Hz.  ``mu_rx`` are the QoS
-    multipliers in rate form, from stationarity
-    ``(1 + mu_n) / (ln2 (sigma / g_n + p_n)) = (wsq^T lambda)_n``, and
-    ``iterations`` counts dual Newton steps.
+    binds when that point is optimal.  ``converged`` is the certificate the
+    solve returns: the Lagrange dual bound at its final prices exceeds the
+    returned objective by at most ``GAP_TOL`` bit/s/Hz.  ``iterations``
+    counts dual Newton steps.
     """
     headroom = pmax_w - wsq @ p_min
     if not (headroom > 0).all():   # NaN fails the comparison too
@@ -232,13 +223,8 @@ def allocate_cdl_power(
     scale = float(np.max(pmax_w))
     a = (noise_w / gains + p_min) / scale
     budgets = headroom / scale
-    x, lam, steps = _dual_newton(a, wsq, budgets)
-    converged = _duality_gap(a, wsq, budgets, x, lam) <= GAP_TOL
-
-    powers = p_min + scale * x
-    lam_tx = lam / scale
-    mu = np.maximum(LN2 * (noise_w / gains + powers) * (wsq.T @ lam_tx) - 1.0, 0.0)
-    return CdlPowerResult(powers, lam_tx, mu, steps, converged)
+    x, _, steps, gap = _dual_newton(a, wsq, budgets)
+    return CdlPowerResult(p_min + scale * x, steps, gap <= GAP_TOL)
 
 
 @dataclass
@@ -314,8 +300,8 @@ def schedule_cdl(
             trial_precoder = numerics.zf_precoder(h_trial)
         except PrecoderSingularError:
             break
-        gains = effective_gains(h_trial, trial_precoder.normalized)
         wsq = np.abs(trial_precoder.normalized) ** 2
+        gains = effective_gains(h_trial, wsq)
         p_min = qos_floor_powers(
             gains,
             wsq,

@@ -332,15 +332,21 @@ def run_drop(config: SimConfig, seed: int, **cell) -> DropMetrics:
 
 
 def aggregate_metrics(metrics_list) -> dict:
-    """Mean and standard error of every metric over a list of drops."""
-    out: dict[str, float] = {}
+    """Mean and standard error of every metric over a list of drops.
+
+    Reduced along the rows of one (fields x drops) array: that keeps the bits
+    of each field's own reduction, which reducing (drops x fields) along
+    columns does not."""
     count = len(metrics_list)
-    for name in METRIC_FIELDS:
-        values = np.array([getattr(m, name) for m in metrics_list], dtype=float)
-        out[f"mean_{name}"] = float(values.mean()) if count else 0.0
-        out[f"stderr_{name}"] = (
-            float(values.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
-        )
+    values = np.array(
+        [[getattr(m, name) for m in metrics_list] for name in METRIC_FIELDS], dtype=float
+    )
+    zeros = np.zeros(len(METRIC_FIELDS))
+    means = values.mean(axis=1) if count else zeros
+    stderrs = values.std(axis=1, ddof=1) / np.sqrt(count) if count > 1 else zeros
+    out: dict[str, float] = {}
+    for name, mean, stderr in zip(METRIC_FIELDS, means.tolist(), stderrs.tolist()):
+        out[f"mean_{name}"], out[f"stderr_{name}"] = mean, stderr
     return out
 
 

@@ -238,11 +238,14 @@ def removal_order(gain_matrix, noise_w, sinr_targets, pmax_w) -> list[int]:
 def check_and_remove(
     links,
     gain_matrix,
-    noise_w,
+    noise_w: float,
     sinr_targets,
-    pmax_w,
+    pmax_w: float,
 ) -> RemovalOutcome:
     """Drop links until the minimum-power vector fits the power box.
+
+    ``noise_w`` and ``pmax_w`` are the scalar radio settings every link
+    shares; ``sinr_targets`` is a scalar or one target per link.
 
     Links leave in :func:`removal_order`; the kept set is the shortest
     prefix of removals after which the solve succeeds with 0 <= p' <= pmax.
@@ -258,11 +261,10 @@ def check_and_remove(
     """
     n = len(links)
     gains = np.asarray(gain_matrix, dtype=float)
-    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
+    noise, pmax = float(noise_w), float(pmax_w)
     targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
-    pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,))
     system = admission_system(gains, targets)
-    if not np.isfinite(system).all() or not np.isfinite(noise).all():
+    if not np.isfinite(system).all() or not math.isfinite(noise):
         raise ValueError("non-finite entries in linear system")
     limit = pmax * (1.0 + TOL.power_feasibility_rel)
 
@@ -271,12 +273,12 @@ def check_and_remove(
         else None."""
         if not alive.size:
             return np.zeros(0)
-        sub, rhs = _block(system, alive, alive), noise[alive]
+        sub, rhs = _block(system, alive, alive), np.full(alive.size, noise)
         try:
             powers = np.linalg.solve(sub, rhs)
         except np.linalg.LinAlgError:
             return None
-        if not (powers <= limit[alive]).all():
+        if not (powers <= limit).all():
             return None
         try:
             numerics.certify_solution(sub, rhs, powers)
@@ -324,44 +326,46 @@ class DcaResult:
 def dc_power_allocation(gain_matrix, noise_w, pmax_w, sinr_targets) -> DcaResult:
     """Exact max-min SINR power allocation over the power box.
 
-    With F[j, l] = G[l, j] / G[j, j] (l != j), v = noise / diag(G) and
-    B_i = F + v e_i^T / pmax_i, the optimum SINR is 1 / rho(B_b) at the
+    ``noise_w`` and ``pmax_w`` are the scalar radio settings every link
+    shares; ``sinr_targets`` is a scalar or one target per link.  With
+    F[j, l] = G[l, j] / G[j, j] (l != j), v = noise / diag(G) and
+    B_i = F + v e_i^T / pmax, the optimum SINR is 1 / rho(B_b) at the
     binding link b = argmax_i rho(B_i) (Zander 1992), and the powers are the
-    Perron vector of B_b scaled so the largest p_i / pmax_i is 1.  One eigen
-    decomposition gives both; no linear system is solved.  The scale is the
-    minimum over all links: at extreme SNR the rho(B_i) tie to rounding.
+    Perron vector of B_b scaled so the largest p_i is pmax.  One eigen
+    decomposition gives both; no linear system is solved.  The scale puts
+    the largest p_i, not p_b, at pmax: at extreme SNR the rho(B_i) tie to
+    rounding.
 
     The result is certified or an ArithmeticError is raised: every power
-    positive, the largest p_i / pmax_i within ``TOL.power_feasibility_rel``
+    positive, the largest p_i / pmax within ``TOL.power_feasibility_rel``
     of 1, every SINR within ``TOL.sinr_match_rel`` of the optimum, which is
     no lower than the targets.  The SINR spread bounds the gap to the true
-    optimum however p was computed: given p_b = pmax_b and a feasible q with
+    optimum however p was computed: given p_b = pmax and a feasible q with
     min SINR(q) > max SINR(p), c = min_i q_i / p_i, reached at k, exceeds 1
-    (else SINR_k(q) <= SINR_k(p)), so q_b > pmax_b, a contradiction.
+    (else SINR_k(q) <= SINR_k(p)), so q_b > pmax, a contradiction.
 
     The function and result names date from the D.C. (convex-concave)
     procedure this replaced; the benchmark tracer reads them by name.
     """
     gains = np.asarray(gain_matrix, dtype=float)
+    noise, pmax = float(noise_w), float(pmax_w)
     n = gains.shape[0]
     if n == 0:
         return DcaResult(np.zeros(0), math.inf, 0, [], np.zeros(0))
-    noise = np.broadcast_to(np.asarray(noise_w, dtype=float), (n,))
-    pmax = np.broadcast_to(np.asarray(pmax_w, dtype=float), (n,))
     targets = np.broadcast_to(np.asarray(sinr_targets, dtype=float), (n,))
     diag = np.diag(gains)
     coupling = gains.T / diag[:, None]
     np.fill_diagonal(coupling, 0.0)
-    # stack[i] = F + v e_i^T / pmax_i: column i gains v / pmax_i
+    # stack[i] = F + v e_i^T / pmax: column i gains v / pmax
     stack = np.repeat(coupling[None, :, :], n, axis=0)
     idx = np.arange(n)
-    stack[idx, :, idx] += (noise / diag)[None, :] / pmax[:, None]
+    stack[idx, :, idx] += noise / diag / pmax
     values, vectors = np.linalg.eig(stack)
     radius = np.abs(values).max(axis=1)
     b = int(radius.argmax())
     sinr = float(1.0 / radius[b])
     perron = np.abs(vectors[b, :, np.abs(values[b]).argmax()])
-    powers = perron * np.min(pmax / perron)
+    powers = perron * (pmax / perron.max())
 
     link_sinrs = sinrs(powers, gains, noise)
     spread = np.abs(link_sinrs - sinr)

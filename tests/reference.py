@@ -4,7 +4,7 @@ shared helpers they are built from."""
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from d2dcache import ndl, numerics
+from d2dcache import cdl, ndl, numerics
 
 
 def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
@@ -43,3 +43,27 @@ def assignment_matching(weights, is_edge) -> list[tuple[int, int]]:
     rows, cols = linear_sum_assignment(weights, maximize=True)  # rows ascending
     keep = is_edge[rows, cols]
     return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+
+
+def duality_gap(a, wsq, budgets, x, lam) -> float:
+    """Dual bound at ``lam`` minus the objective at ``x`` for the
+    ``cdl._dual`` problem.  For a feasible ``x`` the gap bounds its distance
+    to the optimum from above (weak duality); a stream left unpriced bounds
+    nothing."""
+    return cdl._dual(a, wsq, budgets, lam)[0] - cdl._sum_rate(a, x)
+
+
+def cdl_multipliers(gains, wsq, p_min, *, pmax_w, noise_w):
+    """The Lagrange multipliers of a :func:`cdl.allocate_cdl_power` solve:
+    ``cdl._dual_newton`` run again on the same scaled problem.  Returns
+    ``(powers, lam, mu)``: the powers, the per-CT peak-power multipliers and
+    the per-CR QoS multipliers in rate form, from stationarity
+    ``(1 + mu_n) / (ln2 (sigma / g_n + p_n)) = (wsq^T lam)_n``."""
+    scale = float(np.max(pmax_w))
+    a = (noise_w / gains + p_min) / scale
+    budgets = (pmax_w - wsq @ p_min) / scale
+    x, lam, _, _ = cdl._dual_newton(a, wsq, budgets)
+    powers = p_min + scale * x
+    lam = lam / scale
+    mu = np.maximum(cdl.LN2 * (noise_w / gains + powers) * (wsq.T @ lam) - 1.0, 0.0)
+    return powers, lam, mu

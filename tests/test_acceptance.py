@@ -77,7 +77,7 @@ def test_criterion_2_cdl_power_oracle():
         except numerics.PrecoderSingularError:
             continue
         wsq = np.abs(prec.normalized) ** 2
-        gains = cdl.effective_gains(h, prec.normalized)
+        gains = cdl.effective_gains(h, wsq)
         p_min = cdl.qos_floor_powers(
             gains, wsq, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
         )

@@ -14,6 +14,7 @@ from d2dcache.cdl import (
 )
 from d2dcache.numerics import TOL
 from d2dcache.topology import Topology
+from reference import cdl_multipliers, duality_gap
 
 NOISE = 1e-12
 PMAX = 0.2
@@ -45,8 +46,8 @@ def power_solve(h, w_bar, *, pmax_w=PMAX, noise_w=NOISE, sinr_targets):
     pre-check on the effective gains and ``wsq = |w_bar|^2``, then the
     sum-rate solve from those floors.  Returns ``(result, gains, wsq)``;
     the result is None when the pre-check refuses the set."""
-    gains = effective_gains(h, w_bar)
     wsq = np.abs(w_bar) ** 2
+    gains = effective_gains(h, wsq)
     p_min = qos_floor_powers(
         gains, wsq, pmax_w=pmax_w, noise_w=noise_w, sinr_targets=sinr_targets
     )
@@ -106,7 +107,7 @@ def test_rate_with_explicit_interference_matches_precoded_form():
         w_bar = schedule.precoder.normalized
         h_sel = schedule.channel_matrix
         powers = schedule.powers_w
-        gains = effective_gains(h_sel, w_bar)
+        gains = effective_gains(h_sel, np.abs(w_bar) ** 2)
         for idx in range(n):
             # signal over noise plus the explicit inter-CDL cross terms
             cross = np.abs(h_sel[:, idx].conj() @ w_bar) ** 2
@@ -188,7 +189,11 @@ def test_allocation_feasibility_and_multiplier_invariants():
         if res is None:
             continue
         assert res.converged
-        p, lam, mu = res.powers_w, res.lambda_tx, res.mu_rx
+        p_min = qos_floor_powers(
+            gains, wsq, pmax_w=PMAX, noise_w=NOISE, sinr_targets=gamma
+        )
+        p, lam, mu = cdl_multipliers(gains, wsq, p_min, pmax_w=PMAX, noise_w=NOISE)
+        assert p.tobytes() == res.powers_w.tobytes()
         # primal and dual feasibility
         assert np.all(p >= 0.0)
         assert np.all(wsq @ p <= PMAX * (1.0 + tol))
@@ -216,7 +221,7 @@ def test_floors_must_leave_every_budget_headroom():
     h = np.diag([amp, amp]).astype(complex)
     prec = numerics.zf_precoder(h)
     wsq = np.abs(prec.normalized) ** 2
-    gains = effective_gains(h, prec.normalized)
+    gains = effective_gains(h, wsq)
     gammas = np.array([PMAX * amp**2 / NOISE, 1.0])
     floor = (wsq @ (gammas * NOISE / gains))[0]
     past = 1.0 + 0.5 * TOL.power_feasibility_rel
@@ -236,7 +241,8 @@ def test_floors_must_leave_every_budget_headroom():
         assert res.converged
         assert res.powers_w[0] == pytest.approx(floor, rel=1e-8)
         assert res.powers_w[1] == pytest.approx(PMAX, rel=1e-9)
-        assert np.all(res.lambda_tx > 0.0) and np.all(res.mu_rx >= 0.0)
+        _, lam, mu = cdl_multipliers(gains, wsq, p_min, pmax_w=pmax, noise_w=NOISE)
+        assert np.all(lam > 0.0) and np.all(mu >= 0.0)
     # a NaN load is refused, not taken for headroom
     nan_wsq = np.where(np.eye(2, dtype=bool), np.nan, wsq)
     assert qos_floor_powers(
@@ -249,10 +255,10 @@ def test_floors_must_leave_every_budget_headroom():
 
 
 def interior_point(a, wsq, budgets):
-    """Reference solve of the ``cdl._duality_gap`` problem: a primal-dual
+    """Reference solve of the :func:`duality_gap` problem: a primal-dual
     interior-point method (Boyd & Vandenberghe, Algorithm 11.2) that starts
     strictly feasible and stops once the dual bound certifies ``GAP_TOL``.
-    Returns ``(x, lam, newton_steps)``."""
+    Returns ``(x, lam, newton_steps, gap)``, as ``cdl._dual_newton`` does."""
     ln2 = np.log(2.0)
     num_rows, num_vars = wsq.shape
     with np.errstate(divide="ignore"):
@@ -266,10 +272,10 @@ def interior_point(a, wsq, budgets):
         return np.linalg.norm(np.concatenate([stationarity, centering]))
 
     steps = 0
-    while (
-        steps < cdl.MAX_NEWTON_STEPS
-        and cdl._duality_gap(a, wsq, budgets, x, lam) > GAP_TOL
-    ):
+    while True:
+        gap = duality_gap(a, wsq, budgets, x, lam)
+        if steps == cdl.MAX_NEWTON_STEPS or gap <= GAP_TOL:
+            break
         slack = budgets - wsq @ x
         t = 10.0 * (num_rows + num_vars) / (lam @ slack + nu @ x)
         grad = 1.0 / (ln2 * (a + x))
@@ -296,17 +302,33 @@ def interior_point(a, wsq, budgets):
             break
         x, lam, nu = trial, lam + size * dlam, nu + size * dnu
         steps += 1
-    return x, lam, steps
+    return x, lam, steps, gap
 
 
 def sum_rate(powers, gains):
     return float(np.sum(np.log2(1.0 + powers * gains / NOISE)))
 
 
+def record_reference_certificates(patch, verdicts):
+    """Make each ``cdl._dual_newton`` solve append to ``verdicts`` whether
+    :func:`duality_gap`, recomputed on the problem the solve was given,
+    certifies the point and prices it returns."""
+    solve = cdl._dual_newton
+
+    def recording(a, wsq, budgets):
+        x, lam, steps, gap = solve(a, wsq, budgets)
+        verdicts.append(bool(duality_gap(a, wsq, budgets, x, lam) <= GAP_TOL))
+        return x, lam, steps, gap
+
+    patch.setattr(cdl, "_dual_newton", recording)
+
+
 def test_dual_newton_matches_interior_point(monkeypatch):
     """The dual Newton solve and the interior-point reference, run through
-    the same wrapper (floors, certificate), reach the same optimum.  A CT
-    whose floors use up its budget makes the QoS infeasible on both sides."""
+    the same wrapper (floors, certificate), reach the same optimum, and the
+    certificate the dual Newton solve returns agrees with the reference
+    gap.  A CT whose floors use up its budget makes the QoS infeasible on
+    both sides."""
     rng = np.random.default_rng(11)
     solved = tall = spent = 0
     for trial in range(3000):
@@ -316,7 +338,7 @@ def test_dual_newton_matches_interior_point(monkeypatch):
         h = random_channels(rng, m, n)
         prec = numerics.zf_precoder(h)
         wsq = np.abs(prec.normalized) ** 2
-        gains = effective_gains(h, prec.normalized)
+        gains = effective_gains(h, wsq)
         pmax = PMAX * rng.uniform(0.3, 1.0, m)
         spends = trial % 10 == 1 and gamma > 0
         if spends:
@@ -325,7 +347,10 @@ def test_dual_newton_matches_interior_point(monkeypatch):
             busiest = int(np.argmax(floors / pmax))
             pmax[busiest] = floors[busiest]
         kwargs = dict(pmax_w=pmax, noise_w=NOISE, sinr_targets=gamma)
-        res, _, _ = power_solve(h, prec.normalized, **kwargs)
+        verdicts = []
+        with monkeypatch.context() as patch:
+            record_reference_certificates(patch, verdicts)
+            res, _, _ = power_solve(h, prec.normalized, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(cdl, "_dual_newton", interior_point)
             ref, _, _ = power_solve(h, prec.normalized, **kwargs)
@@ -336,6 +361,7 @@ def test_dual_newton_matches_interior_point(monkeypatch):
         assert (res is None) == (ref is None)
         if res is None:
             continue
+        assert verdicts == [res.converged]
         assert res.converged and ref.converged
         ours, theirs = sum_rate(res.powers_w, gains), sum_rate(ref.powers_w, gains)
         assert ours >= theirs - GAP_TOL
@@ -354,33 +380,42 @@ def test_dual_newton_rank_deficient_dual_hessian():
         h = random_channels(rng, 7, n)
         prec = numerics.zf_precoder(h)
         wsq = np.abs(prec.normalized) ** 2
-        gains = effective_gains(h, prec.normalized)
+        gains = effective_gains(h, wsq)
         a = NOISE / gains / PMAX * rng.choice([1.0, 8.0])
         budgets = rng.uniform(0.05, 1.0, 7)
-        x, lam, steps = cdl._dual_newton(a, wsq, budgets)
+        x, lam, steps, gap = cdl._dual_newton(a, wsq, budgets)
         assert steps <= 30
         # feasible up to the rounding of the final uniform shrink
         assert np.all(x >= 0.0) and np.all(wsq @ x <= budgets * (1.0 + 1e-12))
         assert np.all(lam >= 0.0)
-        assert cdl._duality_gap(a, wsq, budgets, x, lam) <= GAP_TOL
-        ref_x, _, _ = interior_point(a, wsq, budgets)
+        assert gap <= GAP_TOL
+        assert duality_gap(a, wsq, budgets, x, lam) <= GAP_TOL
+        ref_x, _, _, _ = interior_point(a, wsq, budgets)
         assert cdl._sum_rate(a, x) >= cdl._sum_rate(a, ref_x) - GAP_TOL
 
 
 def test_pipeline_power_allocations_are_certified(monkeypatch):
+    """Every power solve of 1000 coop drops in each of three cells is
+    certified, and the certificate the solve returns agrees with the
+    reference gap at the point and prices it returns."""
     solve = cdl.allocate_cdl_power
-    results = []
+    results, verdicts = [], []
 
     def recording(*args, **kwargs):
         results.append(solve(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(cdl, "allocate_cdl_power", recording)
+    record_reference_certificates(monkeypatch, verdicts)
     config = harness.SimConfig()
-    for seed in range(1, 61):
-        harness.run_drop(config, seed, num_users=30, beta=1.2, mode="coop")
-    assert results
+    for num_users, beta in ((20, 0.4), (30, 1.2), (40, 1.6)):
+        for seed in range(1, 1001):
+            harness.simulate_drop(
+                config, seed, num_users=num_users, beta=beta, mode="coop"
+            )
+    assert len(results) >= 2000
     assert all(result.converged for result in results)
+    assert [result.converged for result in results] == verdicts
     # most final sets have as many CRs as CTs, and there the all-budgets-
     # binding start is already certified
     steps = [result.iterations for result in results]
@@ -541,7 +576,7 @@ def test_schedule_invariants_on_random_instances():
             continue
         prec = schedule.precoder
         wsq = np.abs(prec.normalized) ** 2
-        gains = effective_gains(schedule.channel_matrix, prec.normalized)
+        gains = effective_gains(schedule.channel_matrix, wsq)
         # peak power and QoS hold on everything the scheduler returns
         assert np.all(wsq @ schedule.powers_w <= config.pmax_w * (1.0 + 1e-6))
         sinr = schedule.powers_w * gains / config.noise_w

@@ -224,8 +224,8 @@ def test_schedules_hand_their_certified_quantities_forward(num_users, beta):
             schedule = result.cdl_schedule
             if schedule.num_served:
                 w_bar = schedule.precoder.normalized
-                gains = cdl.effective_gains(schedule.channel_matrix, w_bar)
                 wsq = np.abs(w_bar) ** 2
+                gains = cdl.effective_gains(schedule.channel_matrix, wsq)
                 p_min = cdl.qos_floor_powers(
                     gains,
                     wsq,
@@ -286,6 +286,38 @@ def test_stderr_shrinks_like_inverse_sqrt_two():
     half = aggregate_metrics(base[:200])["stderr_throughput_bps"]
     full = aggregate_metrics(base)["stderr_throughput_bps"]
     assert full / half == pytest.approx(1.0 / np.sqrt(2.0), rel=0.15)
+
+
+@pytest.mark.parametrize("drops", [1, 2, 7, 8, 9, 40, 500])
+def test_aggregate_metrics_matches_per_field_reduction(drops):
+    """The one (fields x drops) reduction keeps the bits of reducing each
+    field on its own."""
+    rng = np.random.default_rng(drops)
+    metrics = [
+        DropMetrics(
+            served_crs=int(rng.integers(0, 8)),
+            served_nrs=int(rng.integers(0, 30)),
+            cdl_sum_rate_bps=float(rng.exponential(3e8)),
+            ndl_sum_rate_bps=float(rng.exponential(2e8)),
+            throughput_bps=float(rng.lognormal(19.0, 1.5)),
+            self_satisfied=int(rng.integers(0, 5)),
+            cellular=int(rng.integers(0, 40)),
+            removal_iterations=int(rng.integers(0, 20)),
+        )
+        for _ in range(drops)
+    ]
+    expected = {}
+    for name in harness.METRIC_FIELDS:
+        values = np.array([getattr(m, name) for m in metrics], dtype=float)
+        expected[f"mean_{name}"] = float(values.mean())
+        expected[f"stderr_{name}"] = (
+            float(values.std(ddof=1) / np.sqrt(drops)) if drops > 1 else 0.0
+        )
+    got = aggregate_metrics(metrics)
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        assert type(got[key]) is float
+        assert np.float64(got[key]).tobytes() == np.float64(value).tobytes(), key
 
 
 def test_write_results_round_trip(tmp_path):

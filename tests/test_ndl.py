@@ -763,9 +763,27 @@ def test_removal_certifies_in_box_solutions(monkeypatch):
 
 def test_removal_rejects_non_finite_entries():
     gains = np.diag([1e-9, 2e-9]) + 1e-13
+    with pytest.raises(ValueError, match="non-finite"):
+        check_and_remove([(0, 2), (1, 3)], gains, np.nan, GAMMA, PMAX)
     gains[0, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         check_and_remove([(0, 2), (1, 3)], gains, NOISE, GAMMA, PMAX)
+
+
+def test_ndl_solvers_refuse_per_link_noise_and_peak_power():
+    """Noise and peak power are the scalars ``NdlConfig`` holds; only the
+    SINR targets may be given per link."""
+    gains = np.diag([1e-9, 2e-9]) + 1e-13
+    links = [(0, 2), (1, 3)]
+    per_link = np.full(2, NOISE), np.full(2, PMAX)
+    with pytest.raises(TypeError):
+        check_and_remove(links, gains, per_link[0], GAMMA, PMAX)
+    with pytest.raises(TypeError):
+        check_and_remove(links, gains, NOISE, GAMMA, per_link[1])
+    with pytest.raises(TypeError):
+        dc_power_allocation(gains, per_link[0], PMAX, GAMMA)
+    with pytest.raises(TypeError):
+        dc_power_allocation(gains, NOISE, per_link[1], GAMMA)
 
 
 def test_removal_matches_pairwise_loop():
