@@ -344,10 +344,9 @@ def aggregate_metrics(metrics_list) -> dict:
     zeros = np.zeros(len(METRIC_FIELDS))
     means = values.mean(axis=1) if count else zeros
     stderrs = values.std(axis=1, ddof=1) / np.sqrt(count) if count > 1 else zeros
-    out: dict[str, float] = {}
-    for name, mean, stderr in zip(METRIC_FIELDS, means.tolist(), stderrs.tolist()):
-        out[f"mean_{name}"], out[f"stderr_{name}"] = mean, stderr
-    return out
+    # keyed by the CSV column strings themselves, which every row then shares
+    stats = np.column_stack((means, stderrs)).ravel()  # mean, stderr per field
+    return dict(zip(CSV_COLUMNS[4:], stats.tolist()))
 
 
 def run_cell(

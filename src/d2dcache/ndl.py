@@ -141,28 +141,18 @@ def select_links(
 ) -> list[tuple[int, int]]:
     """One-to-one (transmitter, receiver) pairing, sorted by receiver id.
 
-    One maximum-weight matching, with the configured edge weight, over the
-    block of every supplier row and requester column of the mask.  An
-    isolated supplier/requester pair needs no case of its own: an edge of
-    positive weight that shares no endpoint is in every maximum-weight
-    matching.
+    One maximum-weight matching, with the configured edge weight, on the
+    edges of the mask.  An isolated supplier/requester pair needs no case of
+    its own: an edge of positive weight that shares no endpoint is in every
+    maximum-weight matching.
     """
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-    left = np.flatnonzero(supplies.any(axis=1))
-    right = np.flatnonzero(supplies.any(axis=0))
-    block = _block(supplies, left, right)
-    gains = _block(topology.power_gains, left, right)
-    weights = np.zeros(block.shape)
-    if weight_mode == "reciprocal":
-        np.divide(1.0, gains, out=weights, where=block)
-    else:
-        np.copyto(weights, gains, where=block)
-    pairs = numerics.max_weight_matching(weights, block)
-    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
-    txs, rxs = left[pairs[:, 0]], right[pairs[:, 1]]
-    order = np.argsort(rxs)
-    return list(zip(txs[order].tolist(), rxs[order].tolist()))
+    txs, rxs = np.nonzero(supplies)
+    gains = topology.power_gains[txs, rxs]
+    weights = 1.0 / gains if weight_mode == "reciprocal" else gains
+    pairs = numerics.max_weight_matching(txs, rxs, weights)
+    return sorted(pairs, key=lambda link: link[1])
 
 
 def link_gain_matrix(links, topology: Topology) -> np.ndarray:
@@ -204,8 +194,13 @@ class RemovalOutcome:
     iterations: int
 
 
-def removal_order(gain_matrix, noise_w, sinr_targets, pmax_w) -> list[int]:
+def removal_order(
+    gain_matrix, noise_w: float, sinr_targets, pmax_w: float
+) -> list[int]:
     """Link indices in the order the removal loop drops them.
+
+    ``noise_w`` and ``pmax_w`` are the scalar radio settings every link
+    shares; ``sinr_targets`` holds one target per link.
 
     Each step scores the links still alive by the largest relative
     interference their minimum-power operation injects or absorbs, and drops

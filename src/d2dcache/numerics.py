@@ -144,33 +144,37 @@ def certify_solution(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     return bound
 
 
-def max_weight_matching(weights, is_edge) -> list[tuple[int, int]]:
+def max_weight_matching(left, right, weights) -> list[tuple[int, int]]:
     """Vertex-disjoint edge set of maximum total weight, sorted by left vertex.
 
-    ``weights`` is the dense num_left x num_right weight matrix, non-edges at
-    zero, and ``is_edge`` marks the real edges.  Edge weights must be finite
-    and non-negative.  Solved on the edge list by :func:`_shortest_paths`.
+    Edge e joins ``left[e]`` to ``right[e]`` with weight ``weights[e]``:
+    aligned 1-D arrays, non-negative integer ids, finite non-negative
+    weights.  A pair given twice counts as its heaviest copy.  Edges are
+    sorted by (left, right) first, so ties do not depend on the input order.
+    Solved by :func:`_shortest_paths`.
     """
-    if weights.shape != is_edge.shape:
-        raise ValueError("weight matrix and edge mask differ in shape")
-    edge_weights = weights[is_edge]
-    if not edge_weights.size:
+    left, right = np.asarray(left), np.asarray(right)
+    weights = np.asarray(weights, dtype=float)
+    if not (left.ndim == 1 and left.shape == right.shape == weights.shape):
+        raise ValueError("left, right and weights must be aligned 1-D arrays")
+    if not weights.size:
         return []
-    if not (edge_weights.min() >= 0.0 and edge_weights.max() < np.inf):  # NaN fails both
-        if np.isnan(edge_weights).any():
+    if not (weights.min() >= 0.0 and weights.max() < np.inf):  # NaN fails both
+        if np.isnan(weights).any():
             kind = "NaN"
-        elif edge_weights.min() < 0.0:
+        elif weights.min() < 0.0:
             kind = "negative"
         else:
             kind = "infinite"
         raise ValueError(f"edge with {kind} weight")
-    if np.count_nonzero(weights) != np.count_nonzero(edge_weights):
-        raise ValueError("non-edge with non-zero weight")
-    rows, cols = np.nonzero(is_edge)  # row-major, the order of edge_weights
-    adjacency = [[] for _ in range(is_edge.shape[0])]
-    for i, j, cost in zip(rows.tolist(), cols.tolist(), (-edge_weights).tolist()):
+    if left.min() < 0 or right.min() < 0:  # a list index would wrap around
+        raise ValueError("vertex ids must be non-negative")
+    order = np.lexsort((right, left))  # rows in id order, each row's columns too
+    rows, cols = left[order].tolist(), right[order].tolist()
+    adjacency = [[] for _ in range(rows[-1] + 1)]
+    for i, j, cost in zip(rows, cols, (-weights[order]).tolist()):
         adjacency[i].append((j, cost))
-    col_of = _shortest_paths(adjacency, is_edge.shape[1])
+    col_of = _shortest_paths(adjacency, max(cols) + 1)
     return [(i, j) for i, j in enumerate(col_of) if j >= 0]
 
 

@@ -24,25 +24,21 @@ def min_power_vector(gain_matrix, noise_w, sinr_targets) -> np.ndarray | None:
         return None
 
 
-def edge_block(num_left, num_right, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Lay an edge list of (left, right, weight) triples into the dense weight
-    block and edge mask that :func:`numerics.max_weight_matching` takes."""
-    weights = np.zeros((num_left, num_right))
-    is_edge = np.zeros((num_left, num_right), dtype=bool)
-    for left, right, weight in edges:
-        weights[left, right] = weight
-        is_edge[left, right] = True
-    return weights, is_edge
-
-
-def assignment_matching(weights, is_edge) -> list[tuple[int, int]]:
+def assignment_matching(left, right, weights) -> list[tuple[int, int]]:
     """Maximum-weight matching by scipy's rectangular assignment on the dense
-    block, the real edges of the optimal assignment sorted by left vertex:
-    with non-negative weights these are exactly the maximum-weight
-    matchings.  The library matcher must return the same pairs."""
-    rows, cols = linear_sum_assignment(weights, maximize=True)  # rows ascending
+    block of the edge list's vertices, the real edges of the optimal
+    assignment sorted by left vertex: with non-negative weights these are
+    exactly the maximum-weight matchings.  The library matcher must return
+    the same pairs."""
+    row_ids, rows = np.unique(np.asarray(left, dtype=int), return_inverse=True)
+    col_ids, cols = np.unique(np.asarray(right, dtype=int), return_inverse=True)
+    block = np.zeros((row_ids.size, col_ids.size))
+    block[rows, cols] = weights
+    is_edge = np.zeros(block.shape, dtype=bool)
+    is_edge[rows, cols] = True
+    rows, cols = linear_sum_assignment(block, maximize=True)  # rows ascending
     keep = is_edge[rows, cols]
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    return list(zip(row_ids[rows[keep]].tolist(), col_ids[cols[keep]].tolist()))
 
 
 def duality_gap(a, wsq, budgets, x, lam) -> float:

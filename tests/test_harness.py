@@ -315,6 +315,7 @@ def test_aggregate_metrics_matches_per_field_reduction(drops):
         )
     got = aggregate_metrics(metrics)
     assert list(got) == list(expected)
+    assert tuple(got) == CSV_COLUMNS[4:]
     for key, value in expected.items():
         assert type(got[key]) is float
         assert np.float64(got[key]).tobytes() == np.float64(value).tobytes(), key

@@ -26,7 +26,7 @@ from d2dcache.ndl import (
 from d2dcache.numerics import TOL
 from d2dcache.topology import SimGeometry, Topology, build_topology
 from d2dcache.content import build_content_state, Catalog
-from reference import assignment_matching, edge_block, min_power_vector
+from reference import assignment_matching, min_power_vector
 
 NOISE = 1e-12
 PMAX = 0.2
@@ -307,6 +307,48 @@ def test_phase_one_preserves_non_ambiguous_candidates():
         assert not (resolved.any(axis=0) & resolved.any(axis=1)).any()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: a mutual pair whose role costs tie resolves both "
+    "users to receiver, which clears both rows",
+)
+def test_role_tie_keeps_a_feasible_link(monkeypatch):
+    """K=8 nocoop drops whose only candidates are two users supplying each
+    other, with both role costs 0, keep one of the two links: each meets the
+    SINR target alone at peak power."""
+    decide = ndl.nt_nr_decision
+    calls = []
+
+    def recording(supplies, topology, noise_w, sinr_target):
+        resolved = decide(supplies, topology, noise_w, sinr_target)
+        calls.append((supplies, topology, noise_w, sinr_target, resolved))
+        return resolved
+
+    monkeypatch.setattr(ndl, "nt_nr_decision", recording)
+    config = harness.SimConfig()
+    pmax_w = config.ndl_config().pmax_w
+    lost = []
+    for seed in (184, 289):
+        calls.clear()
+        harness.run_drop(config, seed, num_users=8, beta=1.2, mode="nocoop")
+        (supplies, topology, noise_w, sinr_target, resolved), = calls
+        # the drop's shape, checked outside the expected failure
+        ambiguous, alpha, beta = role_costs(supplies, topology, noise_w, sinr_target)
+        u, v = ambiguous.tolist()
+        links = [(u, v), (v, u)]
+        lone_sinrs = [pmax_w * topology.power_gains[link] / noise_w for link in links]
+        if not (
+            np.argwhere(supplies).tolist() == sorted(map(list, links))
+            and alpha.tolist() == beta.tolist() == [0.0, 0.0]
+            and min(lone_sinrs) >= sinr_target
+        ):
+            pytest.fail(f"seed {seed} no longer holds a tied pair of feasible links")
+        if not any(resolved[link] for link in links):
+            lost.append(seed)
+    assert not lost, f"drops {lost} lose both links of their tied pair"
+
+
 # --- phase II: link selection -------------------------------------------------------
 
 
@@ -514,12 +556,8 @@ def dict_links(suppliers, topology, weight_mode="reciprocal"):
         right_index = {j: i for i, j in enumerate(right_ids)}
         gains = topology.power_gains[txs, rxs]
         weights = 1.0 / gains if weight_mode == "reciprocal" else gains
-        graph_edges = [
-            (left_index[k], right_index[j], weight)
-            for (k, j), weight in zip(contested, weights.tolist())
-        ]
         pairs = numerics.max_weight_matching(
-            *edge_block(len(left_ids), len(right_ids), graph_edges)
+            [left_index[k] for k in txs], [right_index[j] for j in rxs], weights
         )
         matched = [(left_ids[i], right_ids[j]) for i, j in pairs]
     return sorted(direct + matched, key=lambda link: link[1])
@@ -581,14 +619,14 @@ def test_mask_front_end_matches_dict_reference(monkeypatch):
 
 
 def test_pipeline_matchings_equal_assignment_reference(monkeypatch):
-    """Every matching block of the reference cells, in both weight modes, is
-    matched pair for pair as scipy's rectangular assignment matches it."""
+    """Every matching edge list of the reference cells, in both weight modes,
+    is matched pair for pair as scipy's rectangular assignment matches it."""
     matcher = numerics.max_weight_matching
     calls = []
 
-    def recording(weights, is_edge):
-        pairs = matcher(weights, is_edge)
-        calls.append((weights, is_edge, pairs))
+    def recording(left, right, weights):
+        pairs = matcher(left, right, weights)
+        calls.append((left, right, weights, pairs))
         return pairs
 
     monkeypatch.setattr(numerics, "max_weight_matching", recording)
@@ -599,9 +637,9 @@ def test_pipeline_matchings_equal_assignment_reference(monkeypatch):
                 harness.run_drop(config, seed, num_users=num_users, beta=beta, mode=mode)
     assert len(calls) == 2000
     contested = 0
-    for weights, is_edge, pairs in calls:
-        assert pairs == assignment_matching(weights, is_edge)
-        contested += len(pairs) < np.count_nonzero(is_edge)
+    for left, right, weights, pairs in calls:
+        assert pairs == assignment_matching(left, right, weights)
+        contested += len(pairs) < len(weights)
     assert contested > 1000
 
 
@@ -1018,7 +1056,7 @@ def test_removal_matches_svd_guarded_reference():
         assert_same_outcome(check_and_remove(links, gains, NOISE, targets, PMAX), ref)
         if ref_order is None:
             ref_order = compact_removal_order(gains, noise, targets, pmax)
-        assert ndl.removal_order(gains, noise, targets, pmax) == ref_order
+        assert ndl.removal_order(gains, NOISE, targets, PMAX) == ref_order
         verdict = solve_verdict(gains, noise, targets, pmax)
         if verdict:
             disagreements[kind, verdict] += 1
@@ -1038,7 +1076,7 @@ def test_pipeline_removal_matches_svd_guarded_reference(monkeypatch):
         assert_same_outcome(ours, ref)
         if ref_order is None:
             ref_order = compact_removal_order(gains, noise, sinr_targets, pmax)
-        assert ndl.removal_order(gains, noise, sinr_targets, pmax) == ref_order
+        assert ndl.removal_order(gains, noise_w, sinr_targets, pmax_w) == ref_order
         seen["removals"] += ours.iterations > 0
         return ours
 

@@ -18,7 +18,7 @@ from d2dcache.numerics import (
     solve_linear,
     zf_precoder,
 )
-from reference import assignment_matching, edge_block
+from reference import assignment_matching
 
 
 def random_complex(rng, shape):
@@ -297,6 +297,12 @@ def test_solve_rejects_singular_and_ill_conditioned():
 # --- maximum weight bipartite matching ----------------------------------------
 
 
+def match(edges):
+    """:func:`max_weight_matching` on a list of (left, right, weight) triples."""
+    left, right, weights = zip(*edges) if edges else ((), (), ())
+    return max_weight_matching(left, right, weights)
+
+
 def matching_weight(edges, pairs) -> float:
     """Total weight of the given (left, right) pairs."""
     lookup = {(left, right): weight for left, right, weight in edges}
@@ -323,39 +329,42 @@ def brute_force_matching_weight(edges) -> float:
 
 
 def test_matching_single_edge():
-    assert max_weight_matching(*edge_block(1, 1, [(0, 0, 2.5)])) == [(0, 0)]
+    assert match([(0, 0, 2.5)]) == [(0, 0)]
 
 
 def test_matching_dominant_diagonal():
     edges = [(0, 0, 3.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)]
-    pairs = max_weight_matching(*edge_block(2, 2, edges))
+    pairs = match(edges)
     assert pairs == [(0, 0), (1, 1)]
     assert matching_weight(edges, pairs) == 6.0
 
 
 def test_matching_prefers_weight_over_cardinality():
     edges = [(0, 0, 10.0), (0, 1, 1.0), (1, 0, 1.0)]
-    pairs = max_weight_matching(*edge_block(2, 2, edges))
+    pairs = match(edges)
     assert matching_weight(edges, pairs) == 10.0
 
 
 def test_matching_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        max_weight_matching(*edge_block(1, 1, [(0, 0, float("nan"))]))
-    with pytest.raises(ValueError):
-        max_weight_matching(*edge_block(1, 1, [(0, 0, -1.0)]))
-    with pytest.raises(ValueError, match="infinite"):
-        max_weight_matching(np.array([[np.inf]]), np.array([[True]]))
+    for weight, kind in ((float("nan"), "NaN"), (-1.0, "negative"), (np.inf, "infinite")):
+        with pytest.raises(ValueError, match=f"edge with {kind} weight"):
+            match([(0, 0, 1.0), (1, 1, weight)])
 
 
-def test_matching_dense_block_rejects_bad_input():
-    is_edge = np.array([[True, False]])
-    for weights in ([[-1.0, 0.0]], [[np.nan, 0.0]], [[1.0, 2.0]]):
-        with pytest.raises(ValueError):
-            max_weight_matching(np.array(weights), is_edge)
-    with pytest.raises(ValueError):
-        max_weight_matching(np.ones((2, 1)), is_edge)
-    assert max_weight_matching(np.zeros((1, 2)), np.zeros((1, 2), dtype=bool)) == []
+def test_matching_edge_list_rejects_bad_input():
+    for left, right, weights in (
+        ([0, 1], [0], [1.0, 2.0]),
+        ([0], [0], [1.0, 2.0]),
+        ([[0]], [[0]], [[1.0]]),
+    ):
+        with pytest.raises(ValueError, match="aligned 1-D arrays"):
+            max_weight_matching(left, right, weights)
+    for left, right in (([-1], [0]), ([0], [-1]), ([0, -2], [1, 0])):
+        with pytest.raises(ValueError, match="vertex ids must be non-negative"):
+            max_weight_matching(left, right, [1.0] * len(left))
+    assert max_weight_matching([], [], []) == []
+    # empty rows and columns below the largest id are simply unmatched
+    assert max_weight_matching([7, 3], [2, 9], [1.0, 1.0]) == [(3, 9), (7, 2)]
 
 
 def test_matching_equals_bruteforce_seeded():
@@ -367,7 +376,7 @@ def test_matching_equals_bruteforce_seeded():
             for j in range(nr):
                 if rng.random() < 0.5:
                     edges.append((i, j, float(rng.integers(0, 1000))))
-        pairs = max_weight_matching(*edge_block(nl, nr, edges))
+        pairs = match(edges)
         rights = [j for _, j in pairs]
         lefts = [i for i, _ in pairs]
         assert len(set(rights)) == len(rights) and len(set(lefts)) == len(lefts)
@@ -380,7 +389,7 @@ def test_matching_equals_bruteforce_seeded():
 )
 def test_matching_equals_assignment_reference(num_left, num_right, empty_rows, empty_cols):
     """Pair for pair the same matching as scipy's rectangular assignment, on
-    blocks with continuous weights, a larger left or right side, and rows or
+    graphs with continuous weights, a larger left or right side, and rows or
     columns without an edge.  The weights span eight decades, about the
     spread of a drop's link gains; over sixteen, a light edge can fall below
     the rounding of the total, and two optimal matchings tie."""
@@ -390,9 +399,11 @@ def test_matching_equals_assignment_reference(num_left, num_right, empty_rows, e
         is_edge[rng.choice(num_left, empty_rows, replace=False), :] = False
         is_edge[:, rng.choice(num_right, empty_cols, replace=False)] = False
         scale = 10.0 ** rng.integers(-4, 5, size=(num_left, num_right))
-        weights = np.where(is_edge, rng.exponential(size=is_edge.shape) * scale, 0.0)
-        pairs = max_weight_matching(weights, is_edge)
-        assert pairs == assignment_matching(weights, is_edge)
+        weights = rng.exponential(size=is_edge.shape) * scale
+        left, right = np.nonzero(is_edge)
+        edge_weights = weights[left, right]
+        pairs = max_weight_matching(left, right, edge_weights)
+        assert pairs == assignment_matching(left, right, edge_weights)
 
 
 @given(st.data())
@@ -405,7 +416,29 @@ def test_matching_equals_bruteforce_property(data):
         for j in range(nr):
             if data.draw(st.booleans()):
                 edges.append((i, j, data.draw(st.floats(0.0, 100.0))))
-    pairs = max_weight_matching(*edge_block(nl, nr, edges))
+    pairs = match(edges)
+    got = matching_weight(edges, pairs)
+    want = brute_force_matching_weight(edges)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_matching_ignores_edge_order_and_lighter_copies(data):
+    """The pairs depend on the edge set alone: shuffling the edges, or
+    repeating one with a weight no larger than its own, leaves them as they
+    were, ties included, and their total is the brute-force optimum."""
+    vertex = st.integers(0, 6)
+    any_weight = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 100.0))
+    keys = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=14, unique=True))
+    edges = [(i, j, data.draw(any_weight)) for i, j in keys]
+    pairs = match(edges)
+    assert pairs == sorted(pairs)
+    assert match(data.draw(st.permutations(edges))) == pairs
+    i, j, weight = data.draw(st.sampled_from(edges))
+    position = data.draw(st.integers(0, len(edges)))
+    copy = (i, j, data.draw(st.floats(0.0, weight)))
+    assert match(edges[:position] + [copy] + edges[position:]) == pairs
     got = matching_weight(edges, pairs)
     want = brute_force_matching_weight(edges)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
