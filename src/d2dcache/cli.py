@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import SimConfig, run_cell, run_sweep, write_results
+from .harness import MODES, SimConfig, run_cell, run_sweep, write_results
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             help="accepted for compatibility (>= 1); drops always run serially",
         )
-    simulate.add_argument("--mode", choices=("coop", "nocoop"), help="scheduling mode")
+    simulate.add_argument("--mode", choices=MODES, help="scheduling mode")
     simulate.add_argument("--users", type=int, help="number of users K")
     simulate.add_argument("--beta", type=float, help="Zipf popularity exponent")
     return parser

@@ -1,4 +1,4 @@
-"""Monte Carlo driver: configuration, drop execution, user classification,
+"""Monte Carlo driver: configuration, drop execution, service-class counts,
 the no-cooperation baseline, parameter sweeps, aggregation and CSV emission."""
 
 from __future__ import annotations
@@ -19,16 +19,23 @@ from .topology import FieldError, SimGeometry, Topology, build_topology
 
 MODES = ("coop", "nocoop")
 
-METRIC_FIELDS = (
-    "served_crs",
-    "served_nrs",
-    "cdl_sum_rate_bps",
-    "ndl_sum_rate_bps",
-    "throughput_bps",
-    "self_satisfied",
-    "cellular",
-    "removal_iterations",
-)
+
+@dataclass
+class DropMetrics:
+    """Scalar outcomes of one Monte Carlo drop."""
+
+    served_crs: int = 0
+    served_nrs: int = 0
+    cdl_sum_rate_bps: float = 0.0
+    ndl_sum_rate_bps: float = 0.0
+    throughput_bps: float = 0.0
+    self_satisfied: int = 0
+    cellular: int = 0
+    removal_iterations: int = 0
+
+
+# the CSV columns follow DropMetrics' field order
+METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(DropMetrics))
 
 CSV_COLUMNS = ("beta", "K", "mode", "drops") + tuple(
     f"{stat}_{name}" for name in METRIC_FIELDS for stat in ("mean", "stderr")
@@ -192,20 +199,6 @@ def _under_keys(**keys):
 
 
 @dataclass
-class DropMetrics:
-    """Scalar outcomes of one Monte Carlo drop."""
-
-    served_crs: int = 0
-    served_nrs: int = 0
-    cdl_sum_rate_bps: float = 0.0
-    ndl_sum_rate_bps: float = 0.0
-    throughput_bps: float = 0.0
-    self_satisfied: int = 0
-    cellular: int = 0
-    removal_iterations: int = 0
-
-
-@dataclass
 class DropResult:
     """One drop with all intermediate state kept for inspection."""
 
@@ -216,33 +209,25 @@ class DropResult:
     metrics: DropMetrics
 
 
-# Per-user service class codes, as returned by classify_users.
-CLASS_IDLE = 0            # request beyond the popular set
-CLASS_SELF_SATISFIED = 1  # caches the group it requests
-CLASS_D2D = 2
-CLASS_CELLULAR = 3
-
-
-def classify_users(content: ContentState, in_range: np.ndarray) -> np.ndarray:
-    """Coarse per-user service class code (``CLASS_*``) before scheduling.
+def count_service_classes(
+    content: ContentState, in_range: np.ndarray
+) -> tuple[int, int]:
+    """Numbers of self-satisfied and cellular users before scheduling.
 
     ``in_range`` is the drop's :func:`ndl.cachers_in_range` mask for the D2D
-    radius.  A requester of the cooperative group counts as d2d whenever that
-    group is cached by anyone (it is a CR candidate regardless of distance);
-    other requesters need a cacher of their group within the D2D radius.
+    radius; its diagonal marks the users that cache the group they request.
+    A cellular user requests a popular group that no cacher within the radius
+    holds.  A requester of the cooperative group is not cellular while anyone
+    caches that group: it is a CR candidate regardless of distance.
     """
     groups = content.requested_group
     d2d = in_range.any(axis=0)
     group = content.coop_group
     if group is not None and (content.cached_group == group).any():
         d2d |= groups == group
-    # later assignments take precedence; every user is in range of itself,
-    # so the diagonal marks "caches the group it requests"
-    classes = np.full(content.num_users, CLASS_CELLULAR)
-    classes[d2d] = CLASS_D2D
-    classes[in_range.diagonal()] = CLASS_SELF_SATISFIED
-    classes[groups < 0] = CLASS_IDLE
-    return classes
+    self_satisfied = np.count_nonzero(in_range.diagonal())
+    cellular = np.count_nonzero(~d2d & (groups >= 0))
+    return int(self_satisfied), int(cellular)
 
 
 def run_pipeline(
@@ -284,7 +269,7 @@ def run_pipeline(
     in_range = cachers_in_range(content, topology.distances, ndl_config.radius_m)
     ndl_schedule = schedule_ndl(topology, content, ndl_config, in_range, excluded)
 
-    classes = classify_users(content, in_range)
+    self_satisfied, cellular = count_service_classes(content, in_range)
     cdl_rate = cdl_schedule.sum_rate_bps
     ndl_rate = ndl_schedule.sum_rate_bps
     metrics = DropMetrics(
@@ -293,8 +278,8 @@ def run_pipeline(
         cdl_sum_rate_bps=cdl_rate,
         ndl_sum_rate_bps=ndl_rate,
         throughput_bps=cdl_rate + ndl_rate,
-        self_satisfied=int(np.count_nonzero(classes == CLASS_SELF_SATISFIED)),
-        cellular=int(np.count_nonzero(classes == CLASS_CELLULAR)),
+        self_satisfied=self_satisfied,
+        cellular=cellular,
         removal_iterations=ndl_schedule.removal_iterations,
     )
     return DropResult(topology, content, cdl_schedule, ndl_schedule, metrics)
@@ -327,7 +312,7 @@ def simulate_drop(
 
 
 def run_drop(config: SimConfig, seed: int, **cell) -> DropMetrics:
-    """Metrics of one cooperative-mode drop (or the configured mode)."""
+    """Metrics of one drop in the cell's mode, else the configured one."""
     return simulate_drop(config, seed, **cell).metrics
 
 
@@ -355,7 +340,6 @@ def run_cell(
     num_users: int,
     beta: float,
     mode: str,
-    drops: int | None = None,
 ) -> dict:
     """Aggregate one (beta, K, mode) cell over its configured drops.
 
@@ -363,7 +347,7 @@ def run_cell(
     the calling thread, in seed order, whatever ``config.workers`` says.  A
     drop's ``ArithmeticError`` is raised again, same type, naming seed and cell.
     """
-    drops = config.drops if drops is None else drops
+    drops = config.drops
     if drops < 1:
         raise ValueError("drops must be >= 1")
     cell = dict(num_users=num_users, beta=beta, mode=mode)
@@ -379,12 +363,12 @@ def run_cell(
     return row
 
 
-def run_sweep(config: SimConfig, modes=MODES) -> list[dict]:
+def run_sweep(config: SimConfig) -> list[dict]:
     """Cells for every (beta, K, mode) combination in a fixed row order."""
     rows = []
     for beta in config.betas:
         for num_users in config.user_counts:
-            for mode in modes:
+            for mode in MODES:
                 rows.append(
                     run_cell(config, num_users=num_users, beta=beta, mode=mode)
                 )

@@ -45,7 +45,6 @@ class ZfPrecoder:
 
     matrix: np.ndarray       # (M, N) raw columns w_n
     normalized: np.ndarray   # (M, N) columns w_n / ||w_n||
-    norms_sq: np.ndarray     # (N,) squared column norms ||w_n||^2
 
 
 def zf_precoder(channel_matrix: np.ndarray) -> ZfPrecoder:
@@ -65,7 +64,7 @@ def zf_precoder(channel_matrix: np.ndarray) -> ZfPrecoder:
             f"cannot zero-force {num_rx} receivers with {num_tx} transmitters"
         )
     if num_rx == 0:
-        return ZfPrecoder(h.copy(), h.copy(), np.zeros(0))
+        return ZfPrecoder(h.copy(), h.copy())
     h_herm = h.conj().T
     identity = np.eye(num_rx, dtype=complex)
     try:
@@ -75,9 +74,8 @@ def zf_precoder(channel_matrix: np.ndarray) -> ZfPrecoder:
     # a near-singular Gram matrix leaves cross-talk (or NaN) in H^H W
     if not np.max(np.abs(h_herm @ w - identity)) <= TOL.zf_residual:
         raise PrecoderSingularError("stacked channel vectors are rank deficient")
-    norms_sq = np.sum(np.abs(w) ** 2, axis=0)
-    normalized = w / np.sqrt(norms_sq)
-    return ZfPrecoder(matrix=w, normalized=normalized, norms_sq=norms_sq)
+    normalized = w / np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
+    return ZfPrecoder(matrix=w, normalized=normalized)
 
 
 def gs_residual(vector: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:

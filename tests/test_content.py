@@ -16,13 +16,7 @@ from d2dcache.content import (
     place_caches,
     select_coop_group,
 )
-from d2dcache.harness import (
-    CLASS_CELLULAR,
-    CLASS_D2D,
-    CLASS_IDLE,
-    CLASS_SELF_SATISFIED,
-    classify_users,
-)
+from d2dcache.harness import count_service_classes
 from d2dcache.ndl import cachers_in_range
 from d2dcache.topology import FieldError
 
@@ -161,7 +155,12 @@ def test_cache_rows_are_one_hot_and_sets_disjoint():
 
 
 def classify(state, distances, radius):
-    return classify_users(state, cachers_in_range(state, distances, radius))
+    """(self-satisfied, cellular) user counts of one drop."""
+    return count_service_classes(state, cachers_in_range(state, distances, radius))
+
+
+def label_counts(labels):
+    return labels.count("self-satisfied"), labels.count("cellular")
 
 
 def three_user_instance():
@@ -176,49 +175,46 @@ def three_user_instance():
 
 def test_classify_self_satisfied():
     cached, requested, distances = three_user_instance()
-    classes = classify(ContentState(cached, requested, 2), distances, 30.0)
-    assert classes[2] == CLASS_SELF_SATISFIED
+    self_satisfied, _ = classify(ContentState(cached, requested, 2), distances, 30.0)
+    assert self_satisfied == 1  # user 2
 
 
 def test_classify_d2d_with_supplier_in_range():
     cached, requested, distances = three_user_instance()
-    classes = classify(ContentState(cached, requested, 2), distances, 30.0)
-    assert classes[0] == CLASS_D2D  # user 1 caches g1 at 10 m
-    assert classes[1] == CLASS_IDLE
+    # user 0 is d2d (user 1 caches g1 at 10 m) and user 1 idle: neither is cellular
+    assert classify(ContentState(cached, requested, 2), distances, 30.0) == (1, 0)
 
 
 def test_classify_cellular_without_cooperation():
     cached, requested, distances = three_user_instance()
     distances[0, 1] = distances[1, 0] = 80.0  # push the only supplier out of range
-    classes = classify(ContentState(cached, requested, 2), distances, 30.0)
-    assert classes[0] == CLASS_CELLULAR
+    assert classify(ContentState(cached, requested, 2), distances, 30.0) == (1, 1)
 
 
 def test_classify_coop_group_requester_is_d2d_regardless_of_range():
     cached, requested, distances = three_user_instance()
     distances[0, 1] = distances[1, 0] = 80.0
-    classes = classify(ContentState(cached, requested, 2, 1), distances, 30.0)
-    assert classes[0] == CLASS_D2D
+    assert classify(ContentState(cached, requested, 2, 1), distances, 30.0) == (1, 0)
 
 
 def classify_loop(cache, request, distances, d2d_radius_m, coop_group=None):
-    """Reference classification codes, one user at a time."""
+    """Reference class labels, one user at a time."""
     groups = request.argmax(axis=1)
     classes = []
     for k in range(cache.shape[0]):
         g = int(groups[k])
         if request[k].sum() == 0:
-            classes.append(CLASS_IDLE)
+            classes.append("idle-beyond-popular")
         elif cache[k, g] == 1:
-            classes.append(CLASS_SELF_SATISFIED)
+            classes.append("self-satisfied")
         else:
             cachers = np.flatnonzero(cache[:, g])
             if coop_group is not None and g == coop_group and cachers.size > 0:
-                classes.append(CLASS_D2D)
+                classes.append("d2d")
             elif np.any(distances[k, cachers] < d2d_radius_m):
-                classes.append(CLASS_D2D)
+                classes.append("d2d")
             else:
-                classes.append(CLASS_CELLULAR)
+                classes.append("cellular")
     return classes
 
 
@@ -245,7 +241,7 @@ def test_classify_matches_per_user_loop():
             coop,
         )
         state = ContentState(cached, requested, catalog.num_groups, coop)
-        assert classify(state, distances, radius).tolist() == expected
+        assert classify(state, distances, radius) == label_counts(expected)
 
 
 def test_select_coop_group_examples():
@@ -329,14 +325,6 @@ def reference_requested_groups(request):
     return groups
 
 
-LABELS = {
-    CLASS_SELF_SATISFIED: "self-satisfied",
-    CLASS_D2D: "d2d",
-    CLASS_CELLULAR: "cellular",
-    CLASS_IDLE: "idle-beyond-popular",
-}
-
-
 def reference_classes(cache, request, distances, d2d_radius_m, coop_group=None):
     """String class labels, from one K x G "cacher of the group in range" matrix."""
     groups = reference_requested_groups(request)
@@ -415,9 +403,8 @@ def test_derived_views_match_list_references():
             )
             distances = random_distances(rng, k)
             radius = float(rng.uniform(1.0, 150.0))
-            codes = classify(state, distances, radius).tolist()
             labels = reference_classes(cache, request, distances, radius, coop)
-            assert [LABELS[c] for c in codes] == labels
+            assert classify(state, distances, radius) == label_counts(labels)
             draws += 1
     assert draws >= 1000
 

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache import cdl, harness
 from d2dcache.cdl import CdlConfig
@@ -27,6 +30,10 @@ from d2dcache.harness import (
 )
 from d2dcache.ndl import NdlConfig, build_candidates, cachers_in_range, sinrs
 from d2dcache.topology import SimGeometry, Topology
+
+# the benchmark's outcome checker re-derives a drop's constraints from its raw state
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checker  # noqa: E402
 
 
 def small_config(**overrides):
@@ -270,14 +277,9 @@ def test_single_drop_cell_equals_drop_metrics():
 @pytest.mark.parametrize("drops", [0, -3])
 def test_run_cell_rejects_fewer_than_one_drop(drops):
     config = small_config()
+    config.drops = drops
     with pytest.raises(ValueError, match="drops must be >= 1"):
-        run_cell(
-            config,
-            num_users=config.num_users,
-            beta=config.zipf_beta,
-            mode="coop",
-            drops=drops,
-        )
+        run_cell(config, num_users=config.num_users, beta=config.zipf_beta, mode="coop")
 
 
 def test_stderr_shrinks_like_inverse_sqrt_two():
@@ -371,6 +373,16 @@ def test_sweep_rows_and_worker_invariance():
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.csv"
 COUNT_METRICS = ("served_crs", "served_nrs", "self_satisfied", "cellular", "removal_iterations")
+
+
+def test_results_header_matches_golden_file(tmp_path):
+    """The header is pinned byte for byte: the golden comparison reads columns
+    by name and the round trip checks only the ends of the header."""
+    row = {col: 0 for col in CSV_COLUMNS}
+    row.update(beta=0.8, K=10, mode="coop", drops=1)
+    path = write_results([row], tmp_path / "results.csv")
+    with open(path, "rb") as emitted, open(GOLDEN_SWEEP, "rb") as golden:
+        assert emitted.readline() == golden.readline()
 
 
 def test_sweep_matches_golden_results():
@@ -562,3 +574,40 @@ def test_sub_configs_are_frozen(cls):
     for f in dataclasses.fields(cls):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, f.name, getattr(config, f.name))
+
+
+# --- edges of the config space --------------------------------------------------------
+
+# (num_files, cache_size, num_popular): the default, one group, every file
+# popular, and both at once
+EDGE_CATALOGS = ((200, 10, 100), (200, 10, 10), (200, 10, 200), (10, 10, 10))
+
+edge_configs = st.builds(
+    lambda catalog, **fields: SimConfig(
+        num_files=catalog[0], cache_size=catalog[1], num_popular=catalog[2], **fields
+    ),
+    catalog=st.sampled_from(EDGE_CATALOGS),
+    num_users=st.sampled_from([2, 3, 8, 30, 60]),
+    zipf_beta=st.sampled_from([0.0, 0.6, 1.6, 4.0]),
+    d2d_radius_m=st.sampled_from([0.5, 30.0, 141.42]),
+    allow_full_rank=st.booleans(),
+    weight_mode=st.sampled_from(["reciprocal", "gain"]),
+    rmin_bps_per_hz=st.sampled_from([1e-6, 0.5, 3.0, 8.0]),
+    pmax_dbm=st.sampled_from([-30.0, 0.0, 23.0, 40.0]),
+    noise_dbm=st.sampled_from([-150.0, -90.0, -40.0]),
+    sus_epsilon=st.sampled_from([0.05, 0.75, 0.99]),
+)
+
+
+@given(config=edge_configs, seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, deadline=None, max_examples=800)
+def test_drops_at_config_edges_pass_the_checker_or_fail_a_certificate(config, seed):
+    """Every drop at the corners of the config space either keeps the
+    scheduling constraints or raises the certificate it failed."""
+    for mode in harness.MODES:
+        try:
+            drop = simulate_drop(config, seed, mode=mode)
+        except ArithmeticError as exc:
+            assert "certificate" in str(exc), exc
+            continue
+        assert checker.check_drop(drop, config, mode) == []

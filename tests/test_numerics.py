@@ -31,7 +31,7 @@ def random_complex(rng, shape):
 def test_zf_identity_channels():
     prec = zf_precoder(np.eye(3, dtype=complex))
     assert np.allclose(prec.matrix, np.eye(3))
-    assert np.allclose(prec.norms_sq, 1.0)
+    assert np.allclose(np.linalg.norm(prec.matrix, axis=0), 1.0)
 
 
 def test_zf_single_receiver_scalar_case():
