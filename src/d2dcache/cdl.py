@@ -233,7 +233,6 @@ class CdlSchedule:
 
     transmitters: np.ndarray          # CT user ids
     receivers: np.ndarray             # CR user ids in selection order
-    channel_matrix: np.ndarray        # (|CT|, |CR|) complex
     precoder: ZfPrecoder | None
     powers_w: np.ndarray
     rates_bps: np.ndarray
@@ -245,7 +244,6 @@ class CdlSchedule:
         return cls(
             transmitters=tx,
             receivers=np.zeros(0, dtype=int),
-            channel_matrix=np.zeros((len(tx), 0), dtype=complex),
             precoder=None,
             powers_w=np.zeros(0),
             rates_bps=np.zeros(0),
@@ -335,7 +333,6 @@ def schedule_cdl(
     return CdlSchedule(
         transmitters=tx,
         receivers=np.asarray(selected, dtype=int),
-        channel_matrix=h_sel,
         precoder=precoder,
         powers_w=result.powers_w,
         rates_bps=rates,

@@ -261,10 +261,9 @@ def run_pipeline(
         ndl_config = config.ndl_config(config.cdl_bandwidth_hz + config.ndl_bandwidth_hz)
 
     # Users carrying an established CDL are busy; an empty CDL frees everyone.
-    excluded: set[int] = set()
+    excluded = ()
     if cdl_schedule.num_served > 0:
-        excluded = set(cdl_schedule.transmitters.tolist())
-        excluded.update(cdl_schedule.receivers.tolist())
+        excluded = np.concatenate((cdl_schedule.transmitters, cdl_schedule.receivers))
 
     in_range = cachers_in_range(content, topology.distances, ndl_config.radius_m)
     ndl_schedule = schedule_ndl(topology, content, ndl_config, in_range, excluded)
@@ -358,7 +357,8 @@ def run_cell(
         except ArithmeticError as exc:
             where = f"drop seed {seed} of cell K={num_users}, beta={beta}, mode={mode}"
             raise type(exc)(f"{where}: {exc}") from exc
-    row: dict = {"beta": beta, "K": num_users, "mode": mode, "drops": drops}
+    # float: a beta of 1 and of 1.0 write the same file
+    row: dict = {"beta": float(beta), "K": num_users, "mode": mode, "drops": drops}
     row.update(aggregate_metrics(metrics))
     return row
 

@@ -380,8 +380,6 @@ class NdlSchedule:
     """Outcome of the non-cooperative pipeline for one drop."""
 
     links: list               # (transmitter, receiver) pairs, receiver-sorted
-    gain_matrix: np.ndarray
-    sinr_targets: np.ndarray
     min_powers_w: np.ndarray  # admission point: every SINR exactly on target
     powers_w: np.ndarray      # final max-min powers
     rates_bps: np.ndarray
@@ -419,18 +417,15 @@ def schedule_ndl(
     resolved = nt_nr_decision(supplies, topology, config.noise_w, config.sinr_target)
     links = select_links(resolved, topology, config.weight_mode)
     gains = link_gain_matrix(links, topology)
-    targets = np.full(len(links), config.sinr_target)
     removal = check_and_remove(
-        links, gains, config.noise_w, targets, config.pmax_w
+        links, gains, config.noise_w, config.sinr_target, config.pmax_w
     )
     power = dc_power_allocation(
-        removal.gain_matrix, config.noise_w, config.pmax_w, removal.sinr_targets
+        removal.gain_matrix, config.noise_w, config.pmax_w, config.sinr_target
     )
     rates = config.bandwidth_hz * np.log2(1.0 + power.link_sinrs)
     return NdlSchedule(
         links=removal.kept,
-        gain_matrix=removal.gain_matrix,
-        sinr_targets=removal.sinr_targets,
         min_powers_w=removal.min_powers_w,
         powers_w=power.powers_w,
         rates_bps=rates,

@@ -76,6 +76,18 @@ def test_sweep_covers_all_cells(tmp_path):
     ]
 
 
+def test_integer_and_float_beta_write_the_same_file(tmp_path):
+    outputs = []
+    for betas in ([1], [1.0]):
+        run = tmp_path / str(betas[0])
+        run.mkdir()
+        config = tiny_config(run, betas=betas)
+        assert main(["sweep", "--config", str(config), "--out", str(run / "out")]) == 0
+        outputs.append((run / "out" / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1].startswith(b"1.0,8,coop,")
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}))

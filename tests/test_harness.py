@@ -173,9 +173,11 @@ def test_nocoop_drops_satisfy_constraints():
         sched = result.ndl_schedule
         if sched.num_served == 0:
             continue
-        achieved = sinrs(sched.powers_w, sched.gain_matrix, config.ndl_config().noise_w)
-        assert np.all(achieved >= sched.sinr_targets * (1 - 1e-6))
-        assert np.all(sched.powers_w <= config.ndl_config().pmax_w * (1 + 1e-9))
+        ndl_config = config.ndl_config()
+        gains = result.topology.power_gains[np.ix_(sched.transmitters, sched.receivers)]
+        achieved = sinrs(sched.powers_w, gains, ndl_config.noise_w)
+        assert np.all(achieved >= ndl_config.sinr_target * (1 - 1e-6))
+        assert np.all(sched.powers_w <= ndl_config.pmax_w * (1 + 1e-9))
 
 
 def test_drop_level_bounds_and_rate_floors():
@@ -232,7 +234,10 @@ def test_schedules_hand_their_certified_quantities_forward(num_users, beta):
             if schedule.num_served:
                 w_bar = schedule.precoder.normalized
                 wsq = np.abs(w_bar) ** 2
-                gains = cdl.effective_gains(schedule.channel_matrix, wsq)
+                h_sel = result.topology.channels[
+                    np.ix_(schedule.transmitters, schedule.receivers)
+                ]
+                gains = cdl.effective_gains(h_sel, wsq)
                 p_min = cdl.qos_floor_powers(
                     gains,
                     wsq,
@@ -254,7 +259,8 @@ def test_schedules_hand_their_certified_quantities_forward(num_users, beta):
                 assert np.array_equal(schedule.rates_bps, rates)
                 served["cdl"] += 1
             links = result.ndl_schedule
-            achieved = sinrs(links.powers_w, links.gain_matrix, ndl_config.noise_w)
+            gains = result.topology.power_gains[np.ix_(links.transmitters, links.receivers)]
+            achieved = sinrs(links.powers_w, gains, ndl_config.noise_w)
             rates = ndl_config.bandwidth_hz * np.log2(1.0 + achieved)
             assert np.array_equal(links.rates_bps, rates)
             served[mode] += links.num_served > 0

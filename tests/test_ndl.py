@@ -1071,12 +1071,13 @@ def test_pipeline_removal_matches_svd_guarded_reference(monkeypatch):
     def checking(links, gains, noise_w, sinr_targets, pmax_w):
         ours = remove(links, gains, noise_w, sinr_targets, pmax_w)
         n = len(links)
-        noise, pmax = np.full(n, noise_w), np.full(n, pmax_w)
-        ref, ref_order = reference_check_and_remove(links, gains, noise, sinr_targets, pmax)
+        # the pipeline passes one scalar target; removal_order takes one per link
+        noise, targets, pmax = (np.full(n, v) for v in (noise_w, sinr_targets, pmax_w))
+        ref, ref_order = reference_check_and_remove(links, gains, noise, targets, pmax)
         assert_same_outcome(ours, ref)
         if ref_order is None:
-            ref_order = compact_removal_order(gains, noise, sinr_targets, pmax)
-        assert ndl.removal_order(gains, noise_w, sinr_targets, pmax_w) == ref_order
+            ref_order = compact_removal_order(gains, noise, targets, pmax)
+        assert ndl.removal_order(gains, noise_w, targets, pmax_w) == ref_order
         seen["removals"] += ours.iterations > 0
         return ours
 
@@ -1305,11 +1306,12 @@ def test_schedule_ndl_invariants_on_random_drops():
             assert g >= 0 and g != content.coop_group
             assert content.cached_group[tx] == g
         if schedule.num_served:
-            achieved = sinrs(schedule.powers_w, schedule.gain_matrix, config.noise_w)
-            assert np.all(achieved >= schedule.sinr_targets * (1 - 1e-6))
+            gains = topo.power_gains[np.ix_(txs, rxs)]
+            achieved = sinrs(schedule.powers_w, gains, config.noise_w)
+            assert np.all(achieved >= config.sinr_target * (1 - 1e-6))
             assert np.all(schedule.powers_w <= config.pmax_w * (1 + 1e-9))
-            at_min = sinrs(schedule.min_powers_w, schedule.gain_matrix, config.noise_w)
-            assert np.max(np.abs(at_min / schedule.sinr_targets - 1.0)) < 1e-6
+            at_min = sinrs(schedule.min_powers_w, gains, config.noise_w)
+            assert np.max(np.abs(at_min / config.sinr_target - 1.0)) < 1e-6
 
 
 def mutual_pair():
@@ -1367,15 +1369,9 @@ def test_schedule_ndl_with_no_link_is_empty(monkeypatch, drop, config, selected)
     assert schedule.links == [] and schedule.num_served == 0
     assert schedule.sum_rate_bps == 0.0
     assert schedule.removal_iterations == outcomes[0].iterations == selected
-    vectors = (
-        schedule.sinr_targets,
-        schedule.min_powers_w,
-        schedule.powers_w,
-        schedule.rates_bps,
-    )
-    assert schedule.gain_matrix.shape == (0, 0)
+    vectors = (schedule.min_powers_w, schedule.powers_w, schedule.rates_bps)
     assert all(values.shape == (0,) for values in vectors)
-    assert all(values.dtype == float for values in (schedule.gain_matrix, *vectors))
+    assert all(values.dtype == float for values in vectors)
 
 
 def test_pipeline_ndl_power_is_certified(monkeypatch):
@@ -1565,5 +1561,6 @@ def test_high_snr_drop_completes_with_powers_in_the_box(noise_dbm, pmax_dbm, see
     powers = schedule.powers_w
     assert np.all(powers >= 0.0)
     assert np.all(powers <= ndl_config.pmax_w * (1.0 + TOL.power_feasibility_rel))
-    achieved = sinrs(powers, schedule.gain_matrix, ndl_config.noise_w)
-    assert np.all(achieved >= schedule.sinr_targets * (1.0 - TOL.sinr_match_rel))
+    gains = drop.topology.power_gains[np.ix_(schedule.transmitters, schedule.receivers)]
+    achieved = sinrs(powers, gains, ndl_config.noise_w)
+    assert np.all(achieved >= ndl_config.sinr_target * (1.0 - TOL.sinr_match_rel))
