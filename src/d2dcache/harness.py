@@ -230,20 +230,41 @@ def count_service_classes(
     return int(self_satisfied), int(cellular)
 
 
+@dataclass(frozen=True)
+class LinkConfigs:
+    """The link configs the drops of one run schedule with, built (and so
+    checked) once per run."""
+
+    cdl: CdlConfig
+    ndl: NdlConfig
+    nocoop_ndl: NdlConfig  # the nocoop baseline gives its NDLs both bands
+
+    @classmethod
+    def of(cls, config: SimConfig) -> "LinkConfigs":
+        return cls(
+            config.cdl_config(),
+            config.ndl_config(),
+            config.ndl_config(config.cdl_bandwidth_hz + config.ndl_bandwidth_hz),
+        )
+
+
 def run_pipeline(
     topology: Topology,
     content: ContentState,
     config: SimConfig,
     mode: str,
+    *,
+    links: LinkConfigs | None = None,
 ) -> DropResult:
     """Schedule CDLs then NDLs on a fixed (topology, content) realization.
 
-    Both link configs are built from ``config``, and so checked, in either mode.
+    ``links`` are a run's ``LinkConfigs.of(config)``; without them the link
+    configs are built here, and so checked, in either mode.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    cdl_config = config.cdl_config()
-    ndl_config = config.ndl_config()
+    links = LinkConfigs.of(config) if links is None else links
+    ndl_config = links.ndl
     if mode == "coop":
         # band split is preset and fixed, even on drops with no coop group
         group = content.coop_group
@@ -252,13 +273,13 @@ def run_pipeline(
                 np.flatnonzero(content.cached_group == group),
                 np.flatnonzero(content.unserved & (content.requested_group == group)),
                 topology,
-                cdl_config,
+                links.cdl,
             )
         else:
             cdl_schedule = CdlSchedule.empty()
     else:
         cdl_schedule = CdlSchedule.empty()
-        ndl_config = config.ndl_config(config.cdl_bandwidth_hz + config.ndl_bandwidth_hz)
+        ndl_config = links.nocoop_ndl
 
     # Users carrying an established CDL are busy; an empty CDL frees everyone.
     excluded = ()
@@ -284,6 +305,64 @@ def run_pipeline(
     return DropResult(topology, content, cdl_schedule, ndl_schedule, metrics)
 
 
+def _read_only(*arrays) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+class SharedInputs:
+    """The inputs the drops of one (K, seed) share: the run's link configs,
+    and random draws made by the first drop that needs each.
+
+    The topology is the first draw from ``default_rng(seed)`` and depends on
+    K alone.  A content is drawn from the generator state the topology left
+    and depends on beta too; both modes schedule on it, a nocoop drop with no
+    cooperative group.  Later drops reuse these arrays, so they are read-only.
+    """
+
+    def __init__(self, config: SimConfig, seed: int, num_users: int, links: LinkConfigs):
+        self.config, self.seed, self.num_users = config, seed, num_users
+        self.links = links
+        self._rng: np.random.Generator | None = None
+        self._state: dict | None = None  # the generator state after the topology
+        self._topology: Topology | None = None
+        self._contents: dict = {}  # beta -> (ContentState, drawn with its coop group)
+
+    def topology(self) -> Topology:
+        if self._topology is None:
+            # the cell's geometry checks itself when built
+            geometry = self.config.geometry(self.num_users)
+            self._rng = np.random.default_rng(self.seed)
+            topology = build_topology(geometry, self._rng)
+            self._state = self._rng.bit_generator.state
+            _read_only(
+                topology.positions,
+                topology.distances,
+                topology.channels,
+                topology.power_gains,
+            )
+            self._topology = topology
+        return self._topology
+
+    def content(self, beta: float | None, mode: str) -> ContentState:
+        beta = self.config.zipf_beta if beta is None else beta
+        cooperate = mode == "coop"
+        content, cooperative = self._contents.get(beta, (None, False))
+        # a nocoop drop skips the coop-group choice; a coop drop after it
+        # draws the same content again, this time with the group
+        if content is None or cooperate and not cooperative:
+            self.topology()  # the content draws follow the topology's
+            # the cell's catalog checks itself when built
+            catalog = self.config.catalog(beta)
+            self._rng.bit_generator.state = self._state
+            content = build_content_state(catalog, self._rng, self.num_users, cooperate)
+            _read_only(content.cached_group, content.requested_group)
+            self._contents[beta] = content, cooperate
+        if cooperate or content.coop_group is None:
+            return content
+        return dataclasses.replace(content, coop_group=None)
+
+
 def simulate_drop(
     config: SimConfig,
     seed: int,
@@ -291,23 +370,27 @@ def simulate_drop(
     num_users: int | None = None,
     beta: float | None = None,
     mode: str | None = None,
+    shared: SharedInputs | None = None,
 ) -> DropResult:
     """Run the full per-drop pipeline: topology, content, CDLs, then NDLs.
 
     Deterministic in (config, seed); coop and nocoop runs with the same seed
     share the topology and content realization and differ only in scheduling.
-    The cell's geometry and catalog check themselves when built, and
-    :func:`run_pipeline` builds the link configs and checks the mode.
+    ``shared`` holds the inputs a run's drops of this (K, seed) share;
+    without it the drop builds its own.  :func:`run_pipeline` checks the mode.
     """
     mode = config.mode if mode is None else mode
-    geometry = config.geometry(num_users)
-    catalog = config.catalog(beta)
-    rng = np.random.default_rng(seed)
-    topology = build_topology(geometry, rng)
-    content = build_content_state(
-        catalog, rng, geometry.num_users, cooperate=mode == "coop"
-    )
-    return run_pipeline(topology, content, config, mode)
+    num_users = config.num_users if num_users is None else num_users
+    if shared is None:
+        shared = SharedInputs(config, seed, num_users, LinkConfigs.of(config))
+    elif (shared.seed, shared.num_users) != (seed, num_users):
+        raise ValueError(
+            f"inputs of seed {shared.seed}, K={shared.num_users} given to a drop "
+            f"of seed {seed}, K={num_users}"
+        )
+    topology = shared.topology()
+    content = shared.content(beta, mode)
+    return run_pipeline(topology, content, config, mode, links=shared.links)
 
 
 def run_drop(config: SimConfig, seed: int, **cell) -> DropMetrics:
@@ -333,6 +416,33 @@ def aggregate_metrics(metrics_list) -> dict:
     return dict(zip(CSV_COLUMNS[4:], stats.tolist()))
 
 
+def _seeds(config: SimConfig) -> range:
+    if config.drops < 1:
+        raise ValueError("drops must be >= 1")
+    return range(config.base_seed, config.base_seed + config.drops)
+
+
+def _drop_metrics(
+    config: SimConfig, seed: int, shared: SharedInputs, num_users: int, beta, mode: str
+) -> DropMetrics:
+    """One drop through the module's ``run_drop``; its ``ArithmeticError``
+    is raised again, same type, naming seed and cell."""
+    try:
+        return run_drop(
+            config, seed, num_users=num_users, beta=beta, mode=mode, shared=shared
+        )
+    except ArithmeticError as exc:
+        where = f"drop seed {seed} of cell K={num_users}, beta={beta}, mode={mode}"
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _cell_row(num_users: int, beta, mode: str, metrics: list) -> dict:
+    # float: a beta of 1 and of 1.0 write the same file
+    row: dict = {"beta": float(beta), "K": num_users, "mode": mode, "drops": len(metrics)}
+    row.update(aggregate_metrics(metrics))
+    return row
+
+
 def run_cell(
     config: SimConfig,
     *,
@@ -346,33 +456,47 @@ def run_cell(
     the calling thread, in seed order, whatever ``config.workers`` says.  A
     drop's ``ArithmeticError`` is raised again, same type, naming seed and cell.
     """
-    drops = config.drops
-    if drops < 1:
-        raise ValueError("drops must be >= 1")
-    cell = dict(num_users=num_users, beta=beta, mode=mode)
-    metrics = []
-    for seed in range(config.base_seed, config.base_seed + drops):
-        try:
-            metrics.append(run_drop(config, seed, **cell))
-        except ArithmeticError as exc:
-            where = f"drop seed {seed} of cell K={num_users}, beta={beta}, mode={mode}"
-            raise type(exc)(f"{where}: {exc}") from exc
-    # float: a beta of 1 and of 1.0 write the same file
-    row: dict = {"beta": float(beta), "K": num_users, "mode": mode, "drops": drops}
-    row.update(aggregate_metrics(metrics))
-    return row
+    seeds = _seeds(config)
+    links = LinkConfigs.of(config)
+    metrics = [
+        _drop_metrics(
+            config, seed, SharedInputs(config, seed, num_users, links), num_users, beta, mode
+        )
+        for seed in seeds
+    ]
+    return _cell_row(num_users, beta, mode, metrics)
 
 
 def run_sweep(config: SimConfig) -> list[dict]:
-    """Cells for every (beta, K, mode) combination in a fixed row order."""
-    rows = []
-    for beta in config.betas:
-        for num_users in config.user_counts:
-            for mode in MODES:
-                rows.append(
-                    run_cell(config, num_users=num_users, beta=beta, mode=mode)
-                )
-    return rows
+    """Cells for every (beta, K, mode) combination in a fixed row order.
+
+    Runs seed-major: for each K and seed, the drops of every (beta, mode)
+    run back to back on one :class:`SharedInputs`, so each (K, seed) topology
+    and each (K, seed, beta) content is drawn once.  Each cell, keyed by its
+    axis positions, still aggregates its drops in seed order, and its row
+    equals :func:`run_cell`'s.
+    """
+    seeds = _seeds(config)
+    links = LinkConfigs.of(config)
+    betas, user_counts = config.betas, config.user_counts
+    cells = {
+        (b, k, mode): []
+        for b in range(len(betas))
+        for k in range(len(user_counts))
+        for mode in MODES
+    }
+    for k, num_users in enumerate(user_counts):
+        for seed in seeds:
+            shared = SharedInputs(config, seed, num_users, links)
+            for b, beta in enumerate(betas):
+                for mode in MODES:
+                    cells[b, k, mode].append(
+                        _drop_metrics(config, seed, shared, num_users, beta, mode)
+                    )
+    return [
+        _cell_row(user_counts[k], betas[b], mode, metrics)
+        for (b, k, mode), metrics in cells.items()
+    ]
 
 
 def _format_value(value) -> str:

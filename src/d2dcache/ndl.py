@@ -189,7 +189,6 @@ def sinrs(powers_w, gain_matrix, noise_w) -> np.ndarray:
 class RemovalOutcome:
     kept: list             # surviving (tx, rx) links, receiver-sorted
     gain_matrix: np.ndarray
-    sinr_targets: np.ndarray
     min_powers_w: np.ndarray
     iterations: int
 
@@ -285,7 +284,6 @@ def check_and_remove(
         return RemovalOutcome(
             [links[i] for i in alive],
             _block(gains, alive, alive),
-            targets[alive],
             powers,
             n - alive.size,
         )

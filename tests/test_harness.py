@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -18,6 +19,7 @@ from d2dcache.content import Catalog, ContentState
 from d2dcache.harness import (
     CSV_COLUMNS,
     DropMetrics,
+    LinkConfigs,
     SimConfig,
     aggregate_metrics,
     read_results,
@@ -416,21 +418,54 @@ def test_drops_run_in_calling_thread_in_seed_order(monkeypatch):
     real_run_drop = harness.run_drop
 
     def recording_run_drop(config, seed, **cell):
-        calls.append((threading.get_ident(), seed))
+        cell_key = (cell["beta"], cell["num_users"], cell["mode"])
+        calls.append((threading.get_ident(), seed, cell_key))
         return real_run_drop(config, seed, **cell)
 
     monkeypatch.setattr(harness, "run_drop", recording_run_drop)
     config = small_config(num_users=8, drops=5, workers=4)
     run_cell(config, num_users=8, beta=1.0, mode="coop")
-    assert calls == [(threading.get_ident(), 7 + i) for i in range(5)]
+    assert calls == [(threading.get_ident(), 7 + i, (1.0, 8, "coop")) for i in range(5)]
 
     calls.clear()
     config.betas = [0.8, 1.2]
     config.user_counts = [8, 10]
     rows = run_sweep(config)
-    assert {ident for ident, _ in calls} == {threading.get_ident()}
-    seeds = [seed for _, seed in calls]
-    assert seeds == list(range(7, 12)) * len(rows)
+    assert {ident for ident, _, _ in calls} == {threading.get_ident()}
+    # each cell's drops run in seed order
+    seeds_by_cell = {}
+    for _, seed, cell_key in calls:
+        seeds_by_cell.setdefault(cell_key, []).append(seed)
+    assert seeds_by_cell == {
+        (row["beta"], row["K"], row["mode"]): list(range(7, 12)) for row in rows
+    }
+    # seed-major: the drops of one (K, seed) run back to back
+    runs = [key for key, _ in itertools.groupby((k, seed) for _, seed, (_, k, _) in calls)]
+    assert len(runs) == len(set(runs)) == 2 * 5
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(user_counts=[8, 8], betas=[1, 1.0]),
+        dict(user_counts=[2, 20], betas=[0.4, 1.6], weight_mode="gain"),
+        dict(user_counts=[20, 2], betas=[1.2, 0.6], allow_full_rank=False),
+    ],
+)
+def test_sweep_rows_equal_cell_by_cell_rows(overrides):
+    """A seed-major sweep writes, bit for bit, the rows of its cells run one
+    at a time, duplicated axis entries included."""
+    config = small_config(drops=4, **overrides)
+    config.validate()
+    rows = run_sweep(config)
+    assert rows == [
+        run_cell(config, num_users=num_users, beta=beta, mode=mode)
+        for beta in config.betas
+        for num_users in config.user_counts
+        for mode in harness.MODES
+    ]
+    assert {row["drops"] for row in rows} == {4}
+    assert sum(row["mean_served_crs"] for row in rows) > 0
 
 
 def test_failed_drop_fails_its_cell_naming_the_seed(monkeypatch):
@@ -448,6 +483,70 @@ def test_failed_drop_fails_its_cell_naming_the_seed(monkeypatch):
     assert "seed 9" in message and "K=8" in message and "beta=1.0" in message
     assert "mode=coop" in message and "certificate failed" in message
     assert isinstance(info.value.__cause__, FloatingPointError)
+
+    # inside a sweep, the failing drop names its own cell
+    def failing_sweep_drop(config, seed, **cell):
+        if (seed, cell["num_users"], cell["beta"], cell["mode"]) == (9, 10, 1.2, "nocoop"):
+            raise FloatingPointError("certificate failed")
+        return real_run_drop(config, seed, **cell)
+
+    monkeypatch.setattr(harness, "run_drop", failing_sweep_drop)
+    config.betas = [0.8, 1.2]
+    config.user_counts = [8, 10]
+    with pytest.raises(FloatingPointError) as info:
+        run_sweep(config)
+    assert str(info.value) == (
+        "drop seed 9 of cell K=10, beta=1.2, mode=nocoop: certificate failed"
+    )
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_shared_inputs_stay_bit_identical_across_their_drops():
+    """The drops of one (K, seed) get one read-only topology and, per beta,
+    one read-only content, which no drop changes."""
+    config = small_config(num_users=20, betas=[0.6, 1.2])
+    shared = harness.SharedInputs(config, 7, 20, LinkConfigs.of(config))
+    topology = shared.topology()
+    seen = {}  # key -> (shared array, its bytes when first seen)
+    for name in ("positions", "distances", "channels", "power_gains"):
+        seen[name] = (getattr(topology, name), getattr(topology, name).tobytes())
+    for beta in config.betas:
+        for mode in harness.MODES:
+            drop = simulate_drop(config, 7, num_users=20, beta=beta, mode=mode, shared=shared)
+            assert drop.topology is topology
+            assert (drop.content.coop_group is None) == (mode == "nocoop")
+            for name in ("cached_group", "requested_group"):
+                array = getattr(drop.content, name)
+                assert seen.setdefault((beta, name), (array, array.tobytes()))[0] is array
+            for array, first_bytes in seen.values():
+                assert not array.flags.writeable
+                assert array.tobytes() == first_bytes
+    with pytest.raises(ValueError, match="read-only"):
+        topology.channels[0, 1] = 0.0
+    # the shared draws are the ones a drop makes on its own, in either order
+    # of the modes
+    reversed_order = harness.SharedInputs(config, 7, 20, LinkConfigs.of(config))
+    for beta in config.betas:
+        for mode in reversed(harness.MODES):
+            fresh = simulate_drop(config, 7, num_users=20, beta=beta, mode=mode)
+            drop = simulate_drop(
+                config, 7, num_users=20, beta=beta, mode=mode, shared=reversed_order
+            )
+            for content in (fresh.content, drop.content):
+                assert content.requested_group.tobytes() == seen[beta, "requested_group"][1]
+                assert content.cached_group.tobytes() == seen[beta, "cached_group"][1]
+            assert drop.content.coop_group == fresh.content.coop_group
+            assert fresh.topology.channels.tobytes() == topology.channels.tobytes()
+            assert drop.metrics == fresh.metrics
+
+
+def test_drop_refuses_inputs_of_another_seed_or_size():
+    config = small_config()
+    shared = harness.SharedInputs(config, 7, 15, LinkConfigs.of(config))
+    with pytest.raises(ValueError, match="inputs of seed 7, K=15"):
+        simulate_drop(config, 8, shared=shared)
+    with pytest.raises(ValueError, match="inputs of seed 7, K=15"):
+        simulate_drop(config, 7, num_users=16, shared=shared)
 
 
 def test_run_drop_nocoop_mode():

@@ -725,8 +725,9 @@ def test_removal_two_colocated_links():
     assert out.iterations == 1
     assert len(out.kept) == 1
     assert np.all(out.min_powers_w <= PMAX) and np.all(out.min_powers_w >= 0)
+    (kept,) = out.kept
     assert sinrs(out.min_powers_w, out.gain_matrix, NOISE)[0] == pytest.approx(
-        out.sinr_targets[0], rel=1e-6
+        targets[links.index(kept)], rel=1e-6
     )
 
 
@@ -756,7 +757,8 @@ def test_removal_terminates_within_link_count():
         assert out.iterations <= n
         if out.kept:
             achieved = sinrs(out.min_powers_w, out.gain_matrix, NOISE)
-            assert np.all(achieved / out.sinr_targets > 1 - 1e-6)
+            # link i is (i, n + i)
+            assert np.all(achieved / targets[[tx for tx, _ in out.kept]] > 1 - 1e-6)
             assert np.all(out.min_powers_w <= PMAX * (1 + 1e-6))
 
 
@@ -854,7 +856,7 @@ def linear_removal(links, gain_matrix, noise_w, sinr_targets, pmax_w):
         if powers is not None and np.all(powers >= 0.0) and np.all(
             powers <= pmax * (1.0 + TOL.power_feasibility_rel)
         ):
-            return RemovalOutcome(kept, gains, targets, powers, iterations)
+            return RemovalOutcome(kept, gains, powers, iterations)
         own_min = noise * targets / np.diag(gains)
         tolerance = targets / pmax
         cross = gains.copy()
@@ -906,7 +908,6 @@ def test_removal_bisection_matches_linear_loop():
         assert ours.iterations == ref.iterations
         assert ours.gain_matrix.tobytes() == ref.gain_matrix.tobytes()
         assert ours.gain_matrix.shape == ref.gain_matrix.shape
-        assert ours.sinr_targets.tobytes() == ref.sinr_targets.tobytes()
         assert ours.min_powers_w.tobytes() == ref.min_powers_w.tobytes()
         if ref.iterations == 0:
             seen["feasible"] += 1
@@ -996,7 +997,7 @@ def reference_check_and_remove(links, gain_matrix, noise_w, sinr_targets, pmax_w
             and np.all(powers <= pmax[alive] * (1.0 + TOL.power_feasibility_rel))
         )
         kept = [links[i] for i in alive]
-        return feasible, RemovalOutcome(kept, sub, targets[alive], powers, n - len(alive))
+        return feasible, RemovalOutcome(kept, sub, powers, n - len(alive))
 
     feasible, outcome = admit(np.arange(n))
     if feasible:
@@ -1019,7 +1020,6 @@ def assert_same_outcome(ours, ref):
     assert ours.iterations == ref.iterations
     assert ours.gain_matrix.shape == ref.gain_matrix.shape
     assert ours.gain_matrix.tobytes() == ref.gain_matrix.tobytes()
-    assert ours.sinr_targets.tobytes() == ref.sinr_targets.tobytes()
     assert ours.min_powers_w.tobytes() == ref.min_powers_w.tobytes()
 
 
